@@ -1,9 +1,8 @@
 """Exception types shared across the package.
 
-Input/validation problems raise plain ``ValueError`` (or this module's
-subclass); numerical failures (singular systems, non-finite objectives,
-indefinite Hessians) raise :class:`NumericalError`. The CLI maps the former
-to exit code 2 and the latter to exit code 3.
+Input/validation problems raise plain ``ValueError``; numerical failures
+(singular systems, non-finite objectives, indefinite Hessians) raise
+:class:`NumericalError`.
 """
 
 

@@ -8,10 +8,11 @@ have closed forms, leaving a one-dimensional profile objective
 
     -(n/2) ln(sigma2_hat(rho)) + ln|I - rho W|
 
-maximized by a coarse grid scan followed by golden-section refinement. The
-functional coefficient curve is rebuilt from the score coefficients on the
-retained eigenfunctions; the compositional coefficient is the inverse ilr of
-its coordinate block.
+maximized by a coarse grid scan followed by golden-section refinement. Wald
+standard errors come from the closed-form observed Hessian of the full
+log-likelihood (Anselin 1988; Lee 2004). The functional coefficient curve is
+rebuilt from the score coefficients on the retained eigenfunctions; the
+compositional coefficient is the inverse ilr of its coordinate block.
 """
 
 from __future__ import annotations
@@ -151,11 +152,11 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
     return MixedDesign(y=y, Z=z, W=w, column_labels=tuple(labels), blocks=blocks)
 
 
-class _ProfileCache:
-    """Precomputed least-squares pieces making the profile objective O(1) in rho.
+class _Profile:
+    """The profile likelihood of one design, O(1) per rho.
 
-    delta_hat(rho) = d_y - rho d_w and the residual quadratic
-    ||e_y - rho e_w||^2 give sigma2_hat(rho) without refactorizing Z.
+    Least squares of y and of Wy on Z, done once, give delta(rho) =
+    d_y - rho d_w; the residual quadratic ||e_y - rho e_w||^2 gives sigma2(rho).
     """
 
     def __init__(self, design: MixedDesign):
@@ -168,6 +169,9 @@ class _ProfileCache:
         self.eyy = float(e_y @ e_y)
         self.eyw = float(e_y @ e_w)
         self.eww = float(e_w @ e_w)
+
+    def delta(self, rho: float) -> np.ndarray:
+        return self.d_y - rho * self.d_w
 
     def sigma2(self, rho: float) -> float:
         return (self.eyy - 2.0 * rho * self.eyw + rho * rho * self.eww) / self.design.n
@@ -186,17 +190,30 @@ def _solve_ls(z: np.ndarray, target: np.ndarray) -> np.ndarray:
     return coef
 
 
-def delta_hat(rho: float, design: MixedDesign) -> np.ndarray:
-    """Closed-form coefficients at fixed rho: least squares of (I - rho W) y on Z."""
+def _profile_at(rho: float, design: MixedDesign) -> _Profile:
     if abs(rho) >= 1.0:
         raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-    return _solve_ls(design.Z, design.y - rho * (design.W @ design.y))
+    return _Profile(design)
+
+
+def _solve_system(rho: float, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - rho W) x = rhs."""
+    a = -rho * w
+    np.fill_diagonal(a, a.diagonal() + 1.0)
+    try:
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"I - rho W singular at rho={rho}") from exc
+
+
+def delta_hat(rho: float, design: MixedDesign) -> np.ndarray:
+    """Closed-form coefficients at fixed rho: least squares of (I - rho W) y on Z."""
+    return _profile_at(rho, design).delta(rho)
 
 
 def sigma2_hat(rho: float, design: MixedDesign) -> float:
     """Mean squared residual (1/n divisor) at the closed-form coefficients."""
-    e = design.y - rho * (design.W @ design.y) - design.Z @ delta_hat(rho, design)
-    return float(e @ e) / design.n
+    return _profile_at(rho, design).sigma2(rho)
 
 
 def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
@@ -217,10 +234,7 @@ def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
 
 def concentrated_loglik(rho: float, design: MixedDesign) -> float:
     """Profile objective: -(n/2) ln(sigma2_hat(rho)) + ln|I - rho W|."""
-    s2 = sigma2_hat(rho, design)
-    if s2 <= 0.0:
-        raise NumericalError(f"residual variance degenerate at rho={rho}")
-    return -0.5 * design.n * np.log(s2) + log_det_system(rho, design.W)
+    return _profile_at(rho, design).loglik(rho)
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> float:
@@ -247,11 +261,11 @@ def optimize_rho(design: MixedDesign) -> float:
     A 201-point grid locates the basin (guarding against local maxima), then
     golden-section search shrinks the bracketing interval to width 1e-8.
     """
-    cache = _ProfileCache(design)
+    profile = _Profile(design)
 
     def objective(rho: float) -> float:
         try:
-            val = cache.loglik(rho)
+            val = profile.loglik(rho)
         except NumericalError:
             return -np.inf
         return val if np.isfinite(val) else -np.inf
@@ -295,7 +309,7 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     derivative : bool
         Differentiate the (smoothed) curves before FPCA.
     std_errors : bool
-        Attach Wald standard errors / p-values from the numerical Hessian.
+        Attach Wald standard errors / p-values from the closed-form Hessian.
     """
     if not 0.0 < pve <= 1.0:
         raise ValueError("pve must be in (0, 1]")
@@ -330,8 +344,9 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     else:
         rho_hat = optimize_rho(design)
 
-    delta = delta_hat(rho_hat, design)
-    resid = design.y - rho_hat * (design.W @ design.y) - design.Z @ delta
+    profile = _Profile(design)
+    delta = profile.delta(rho_hat)
+    resid = design.y - rho_hat * profile.wy - design.Z @ delta
     sigma2 = float(resid @ resid) / design.n
     if sigma2 <= 0.0:
         raise NumericalError("exact fit: residual variance is zero")
@@ -348,13 +363,7 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     beta_t = b_hat @ basis.eigenfunctions[:n_components] if basis is not None else None
     beta_comp = geometry.ilr_inv(theta) if theta.size else None
 
-    a_mat = -rho_hat * design.W
-    np.fill_diagonal(a_mat, a_mat.diagonal() + 1.0)
-    try:
-        fitted = np.linalg.solve(a_mat, design.Z @ delta)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"I - rho W singular at rho={rho_hat}") from exc
-
+    fitted = _solve_system(rho_hat, design.W, design.Z @ delta)
     sse = float(np.sum((design.y - fitted) ** 2))
     sst = float(np.sum((design.y - design.y.mean()) ** 2))
     r_squared = 1.0 - sse / sst if sst > 0 else float("nan")
@@ -385,36 +394,27 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
 
 
 def wald_std_errors(design: MixedDesign, result: FitResult):
-    """Wald standard errors from the inverse negative numerical Hessian.
+    """Wald standard errors from the inverse negative observed Hessian.
 
-    The Hessian of the full log-likelihood is taken at (rho, delta, sigma2)
-    by central differences with per-parameter steps 1e-5 * max(1, |value|).
-    Returns (std_errors, p_values) ordered [rho, *delta, sigma2], or None
-    with a warning when the Hessian is not negative definite there.
+    The Hessian of the full log-likelihood at (rho, delta, sigma2) is taken
+    in closed form (Anselin 1988; Lee 2004). Beyond cross products of
+    [Wy | Z] and the residual e, it needs tr(G^2) with G = (I - rho W)^-1 W,
+    which costs one dense solve. Returns (std_errors, p_values) ordered
+    [rho, *delta, sigma2], or None with a warning when the Hessian is not
+    negative definite there.
     """
-    params = np.concatenate([[result.rho_hat], result.delta_hat, [result.sigma2_hat]])
-    k = params.size
+    rho, delta, s2 = result.rho_hat, result.delta_hat, result.sigma2_hat
+    params = np.concatenate([[rho], delta, [s2]])
+    wy = design.W @ design.y
+    e = design.y - rho * wy - design.Z @ delta
+    g = _solve_system(rho, design.W, design.W)
+    x = np.column_stack([wy, design.Z])  # de/d(rho, delta) = -[Wy | Z]
 
-    def f(x):
-        return full_loglik(x[0], x[1:-1], x[-1], design)
-
-    steps = 1e-5 * np.maximum(1.0, np.abs(params))
-    # keep rho inside (-1, 1) and sigma2 positive under +/- step
-    steps[0] = min(steps[0], (1.0 - abs(params[0])) / 2.0)
-    steps[-1] = min(steps[-1], params[-1] / 2.0)
-
-    hess = np.empty((k, k))
-    f0 = f(params)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = steps[i]
-        hess[i, i] = (f(params + ei) - 2.0 * f0 + f(params - ei)) / steps[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = steps[j]
-            hess[i, j] = hess[j, i] = (
-                f(params + ei + ej) - f(params + ei - ej) - f(params - ei + ej) + f(params - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
+    hess = np.empty((params.size, params.size))
+    hess[:-1, :-1] = -(x.T @ x) / s2
+    hess[0, 0] -= np.sum(g * g.T)  # tr(G^2)
+    hess[:-1, -1] = hess[-1, :-1] = -(x.T @ e) / s2**2
+    hess[-1, -1] = design.n / (2.0 * s2**2) - (e @ e) / s2**3
 
     try:
         cov = np.linalg.inv(-hess)

@@ -1,5 +1,7 @@
 """Design assembly, concentrated likelihood, rho optimization, full fits, Wald."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -18,7 +20,7 @@ from mixsar.model import (
     sigma2_hat,
     wald_std_errors,
 )
-from mixsar.spatial import rook_lattice
+from mixsar.spatial import knn_inverse_distance, rook_lattice
 
 RNG = np.random.default_rng(1234)
 
@@ -356,3 +358,61 @@ def test_wald_calibration_and_size():
     mean_wald = np.mean(wald_sds)
     assert abs(emp_sd - mean_wald) / mean_wald < 0.5
     assert 0.02 <= rejections / n_reps <= 0.10
+
+
+def central_difference_hessian(design, params):
+    """Reference Hessian of full_loglik at [rho, *delta, sigma2] by central differences.
+
+    Per-parameter steps are 1e-5 * max(1, |value|), clamped so that rho stays
+    inside (-1, 1) and sigma2 stays positive.
+    """
+    k = params.size
+
+    def f(x):
+        return full_loglik(x[0], x[1:-1], x[-1], design)
+
+    steps = 1e-5 * np.maximum(1.0, np.abs(params))
+    steps[0] = min(steps[0], (1.0 - abs(params[0])) / 2.0)
+    steps[-1] = min(steps[-1], params[-1] / 2.0)
+    hess = np.empty((k, k))
+    f0 = f(params)
+    for i in range(k):
+        ei = np.zeros(k)
+        ei[i] = steps[i]
+        hess[i, i] = (f(params + ei) - 2.0 * f0 + f(params - ei)) / steps[i] ** 2
+        for j in range(i + 1, k):
+            ej = np.zeros(k)
+            ej[j] = steps[j]
+            hess[i, j] = hess[j, i] = (
+                f(params + ei + ej) - f(params + ei - ej) - f(params - ei + ej) + f(params - ei - ej)
+            ) / (4.0 * steps[i] * steps[j])
+    return hess
+
+
+# kNN at rho=-0.9 is left out: its Hessian has condition number ~110 there, so
+# the reference's rounding noise (~1e-6 per entry) moves its SEs by ~1e-4.
+@pytest.mark.parametrize("kind, rho", [
+    ("rook", None), ("rook", 0.95), ("rook", -0.9), ("knn", None), ("knn", 0.95),
+])
+def test_wald_closed_form_matches_central_differences(kind, rho):
+    rng = np.random.default_rng(41)
+    n = 36
+    if kind == "rook":
+        w = rook_lattice(6, 6)
+    else:  # asymmetric weights: tr(G^2) must not assume G symmetric
+        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(n, 2)), k=4, cutoff=100.0)
+    x = rng.normal(size=(n, 2))
+    y = np.linalg.solve(np.eye(n) - 0.4 * w, 0.5 + x @ [1.0, -0.7] + 0.5 * rng.normal(size=n))
+    res = fit(y, scalars=x, weights=w, rho=rho, std_errors=True)
+    params = np.concatenate([[res.rho_hat], res.delta_hat, [res.sigma2_hat]])
+    hess = central_difference_hessian(make_design(y, x, w), params)
+    np.testing.assert_allclose(res.std_errors, np.sqrt(np.diag(np.linalg.inv(-hess))),
+                               rtol=1e-5)
+
+
+def test_wald_warns_when_hessian_is_not_negative_definite():
+    y, x, w, _ = sar_instance(n_rows=6, n_cols=6, rng=np.random.default_rng(17))
+    res = fit(y, scalars=x, weights=w)
+    inflated = replace(res, sigma2_hat=3 * res.sigma2_hat)
+    with pytest.warns(UserWarning, match="not negative definite"):
+        assert wald_std_errors(make_design(y, x, w), inflated) is None

@@ -88,7 +88,7 @@ def test_true_beta_t_squared_norm_parseval():
 
 def test_gen_composition_degenerate_covariance_collapses_to_mean():
     comps = gen_composition(40, COMP_MEAN, 1e-12 * np.eye(2), RNG)
-    np.testing.assert_allclose(comps, COMP_MEAN, atol=1e-4)
+    np.testing.assert_allclose(comps, np.broadcast_to(COMP_MEAN, comps.shape), atol=1e-4)
 
 
 def test_gen_composition_moments():
