@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .functional import (
     scores,
     smooth_curves,
 )
-from .spatial import MoranReport, log_det_system, morans_i, validate_weights
+from .spatial import MoranReport, log_det_system, morans_i, solve_system, validate_weights
 
 RHO_BOUND = 0.999
 _RHO_GRID_POINTS = 201
@@ -47,7 +48,8 @@ class MixedDesign:
     """Response, stacked regressor matrix, and spatial weights for one fit.
 
     ``blocks`` maps block names ("intercept", "fpc", "ilr", "scalar") to
-    column slices of Z; absent covariate types simply have no block.
+    column slices of Z; absent covariate types simply have no block. The
+    design's profile likelihood is built on first use and then shared.
     """
 
     y: np.ndarray
@@ -60,9 +62,9 @@ class MixedDesign:
     def n(self) -> int:
         return self.y.size
 
-    @property
-    def n_params(self) -> int:
-        return self.Z.shape[1]
+    @cached_property
+    def _profile(self) -> _Profile:
+        return _Profile(self.y, self.Z, self.W)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,15 +159,17 @@ class _Profile:
 
     Least squares of y and of Wy on Z, done once, give delta(rho) =
     d_y - rho d_w; the residual quadratic ||e_y - rho e_w||^2 gives sigma2(rho).
+    It keeps n and W, not the design, so a design caching it forms no cycle.
     """
 
-    def __init__(self, design: MixedDesign):
-        self.design = design
-        self.wy = design.W @ design.y
-        self.d_y = _solve_ls(design.Z, design.y)
-        self.d_w = _solve_ls(design.Z, self.wy)
-        e_y = design.y - design.Z @ self.d_y
-        e_w = self.wy - design.Z @ self.d_w
+    def __init__(self, y: np.ndarray, z: np.ndarray, w: np.ndarray):
+        self.n = y.size
+        self.w = w
+        self.wy = w @ y
+        self.d_y = _solve_ls(z, y)
+        self.d_w = _solve_ls(z, self.wy)
+        e_y = y - z @ self.d_y
+        e_w = self.wy - z @ self.d_w
         self.eyy = float(e_y @ e_y)
         self.eyw = float(e_y @ e_w)
         self.eww = float(e_w @ e_w)
@@ -174,13 +178,13 @@ class _Profile:
         return self.d_y - rho * self.d_w
 
     def sigma2(self, rho: float) -> float:
-        return (self.eyy - 2.0 * rho * self.eyw + rho * rho * self.eww) / self.design.n
+        return (self.eyy - 2.0 * rho * self.eyw + rho * rho * self.eww) / self.n
 
     def loglik(self, rho: float) -> float:
         s2 = self.sigma2(rho)
         if s2 <= 0.0 or not np.isfinite(s2):
             raise NumericalError(f"residual variance degenerate at rho={rho}")
-        return -0.5 * self.design.n * np.log(s2) + log_det_system(rho, self.design.W)
+        return -0.5 * self.n * np.log(s2) + log_det_system(rho, self.w)
 
 
 def _solve_ls(z: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -191,19 +195,9 @@ def _solve_ls(z: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _profile_at(rho: float, design: MixedDesign) -> _Profile:
-    if abs(rho) >= 1.0:
+    if not abs(rho) < 1.0:
         raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-    return _Profile(design)
-
-
-def _solve_system(rho: float, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - rho W) x = rhs."""
-    a = -rho * w
-    np.fill_diagonal(a, a.diagonal() + 1.0)
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"I - rho W singular at rho={rho}") from exc
+    return design._profile
 
 
 def delta_hat(rho: float, design: MixedDesign) -> np.ndarray:
@@ -220,8 +214,6 @@ def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
     """Gaussian log-likelihood of the spatial-lag system at given parameters."""
     if sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive")
-    if abs(rho) >= 1.0:
-        raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
     delta = np.asarray(delta, dtype=float)
     e = design.y - rho * (design.W @ design.y) - design.Z @ delta
     n = design.n
@@ -261,7 +253,7 @@ def optimize_rho(design: MixedDesign) -> float:
     A 201-point grid locates the basin (guarding against local maxima), then
     golden-section search shrinks the bracketing interval to width 1e-8.
     """
-    profile = _Profile(design)
+    profile = design._profile
 
     def objective(rho: float) -> float:
         try:
@@ -344,13 +336,15 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     else:
         rho_hat = optimize_rho(design)
 
-    profile = _Profile(design)
+    profile = design._profile
     delta = profile.delta(rho_hat)
     resid = design.y - rho_hat * profile.wy - design.Z @ delta
     sigma2 = float(resid @ resid) / design.n
     if sigma2 <= 0.0:
         raise NumericalError("exact fit: residual variance is zero")
-    loglik = full_loglik(rho_hat, delta, sigma2, design)
+    # full_loglik at these estimates, whose quadratic term e'e / (2 sigma2) is n/2
+    loglik = (log_det_system(rho_hat, design.W)
+              - 0.5 * design.n * (np.log(2.0 * np.pi * sigma2) + 1.0))
 
     def block(name):
         return delta[design.blocks[name]] if name in design.blocks else np.empty(0)
@@ -363,7 +357,7 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     beta_t = b_hat @ basis.eigenfunctions[:n_components] if basis is not None else None
     beta_comp = geometry.ilr_inv(theta) if theta.size else None
 
-    fitted = _solve_system(rho_hat, design.W, design.Z @ delta)
+    fitted = solve_system(rho_hat, design.W, design.Z @ delta)
     sse = float(np.sum((design.y - fitted) ** 2))
     sst = float(np.sum((design.y - design.y.mean()) ** 2))
     r_squared = 1.0 - sse / sst if sst > 0 else float("nan")
@@ -405,10 +399,9 @@ def wald_std_errors(design: MixedDesign, result: FitResult):
     """
     rho, delta, s2 = result.rho_hat, result.delta_hat, result.sigma2_hat
     params = np.concatenate([[rho], delta, [s2]])
-    wy = design.W @ design.y
-    e = design.y - rho * wy - design.Z @ delta
-    g = _solve_system(rho, design.W, design.W)
-    x = np.column_stack([wy, design.Z])  # de/d(rho, delta) = -[Wy | Z]
+    e = result.residuals
+    g = solve_system(rho, design.W, design.W)
+    x = np.column_stack([design._profile.wy, design.Z])  # de/d(rho, delta) = -[Wy | Z]
 
     hess = np.empty((params.size, params.size))
     hess[:-1, :-1] = -(x.T @ x) / s2

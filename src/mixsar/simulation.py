@@ -31,7 +31,7 @@ import numpy as np
 from . import geometry
 from .functional import CurveSample, trapezoid_weights
 from .model import fit
-from .spatial import rook_lattice
+from .spatial import rook_lattice, solve_system
 
 N_SERIES_TERMS = 50
 TRUE_SCALAR_COEF = 1.0
@@ -144,10 +144,7 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
     scalar terms. Absent covariate blocks contribute nothing; the intercept
     of the generating process is zero.
     """
-    w = np.asarray(weights, dtype=float)
-    n = w.shape[0]
-    if not -1.0 < rho < 1.0:
-        raise ValueError("rho must be in (-1, 1)")
+    n = np.shape(weights)[0]
     signal = np.zeros(n)
     if curves is not None:
         if curves.n_subjects != n:
@@ -158,8 +155,7 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
         signal += geometry.ilr(comps) @ geometry.ilr(beta_comp)
     if scalars is not None:
         signal += np.asarray(scalars, dtype=float) * float(beta_scalar)
-    a = np.eye(n) - rho * w
-    return np.linalg.solve(a, signal + noise_scale * rng.standard_normal(n))
+    return solve_system(rho, weights, signal + noise_scale * rng.standard_normal(n))
 
 
 def _replicate(config: SimConfig, rep: int):

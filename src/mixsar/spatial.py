@@ -1,9 +1,10 @@
-"""Spatial weight matrices and spatial diagnostics.
+"""Spatial weight matrices, the spatial system I - rho W, and spatial diagnostics.
 
 Weight matrices are plain dense ``(n, n)`` float arrays with zero diagonals
 and row sums of 1 (all-zero rows mark isolated units and are rejected by
 consumers that need a fully connected system). Constructors here always
-return row-normalized matrices.
+return row-normalized matrices. This module owns I - rho W: one builder, which
+checks |rho| < 1, serves both ``log_det_system`` and ``solve_system``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ class MoranReport:
     p_value: float
 
 
-def validate_weights(w, allow_isolated: bool = True) -> np.ndarray:
-    """Check zero diagonal, non-negativity, and unit (or zero) row sums."""
+def _check_matrix(w) -> np.ndarray:
+    """Square, finite, zero diagonal, non-negative: what any weight matrix must be."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
@@ -42,6 +43,12 @@ def validate_weights(w, allow_isolated: bool = True) -> np.ndarray:
         raise ValueError("weight matrix diagonal must be zero")
     if np.any(w < 0):
         raise ValueError("weight matrix entries must be non-negative")
+    return w
+
+
+def validate_weights(w, allow_isolated: bool = True) -> np.ndarray:
+    """Check square shape, finiteness, zero diagonal, non-negativity, unit (or zero) row sums."""
+    w = _check_matrix(w)
     sums = w.sum(axis=1)
     zero_rows = np.flatnonzero(sums == 0)
     bad = np.flatnonzero((sums != 0) & (np.abs(sums - 1.0) > 1e-10))
@@ -54,13 +61,7 @@ def validate_weights(w, allow_isolated: bool = True) -> np.ndarray:
 
 def row_normalize(w) -> np.ndarray:
     """Divide each row of a non-negative zero-diagonal matrix by its sum."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"weight matrix must be square, got shape {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    if np.any(np.diag(w) != 0):
-        raise ValueError("diagonal must be zero")
+    w = _check_matrix(w)
     sums = w.sum(axis=1)
     zero_rows = np.flatnonzero(sums == 0)
     if zero_rows.size:
@@ -88,15 +89,6 @@ def rook_lattice(n_rows: int, n_cols: int) -> np.ndarray:
     return row_normalize(adj)
 
 
-def great_circle_degrees(lonlat_a, lonlat_b) -> float:
-    """Central angle in degrees between two (longitude, latitude) points."""
-    lon1, lat1, lon2, lat2 = map(math.radians, (*lonlat_a, *lonlat_b))
-    s = math.sin((lat2 - lat1) / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(
-        (lon2 - lon1) / 2
-    ) ** 2
-    return math.degrees(2 * math.asin(min(1.0, math.sqrt(s))))
-
-
 def pairwise_distances(locations, metric: str = "euclidean") -> np.ndarray:
     """Dense distance matrix; metric is "euclidean" or "greatcircle".
 
@@ -106,16 +98,19 @@ def pairwise_distances(locations, metric: str = "euclidean") -> np.ndarray:
     pts = np.asarray(locations, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("locations must be an (n, 2) array")
-    n = pts.shape[0]
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        bad = np.flatnonzero(~finite).tolist()
+        raise ValueError(f"non-finite location coordinates at units {bad}")
     if metric == "euclidean":
         diff = pts[:, None, :] - pts[None, :, :]
         return np.sqrt((diff**2).sum(axis=-1))
     if metric == "greatcircle":
-        dist = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist[i, j] = dist[j, i] = great_circle_degrees(pts[i], pts[j])
-        return dist
+        lon, lat = np.radians(pts).T
+        s = (np.sin((lat[:, None] - lat[None, :]) / 2.0) ** 2
+             + np.cos(lat)[:, None] * np.cos(lat)[None, :]
+             * np.sin((lon[:, None] - lon[None, :]) / 2.0) ** 2)
+        return np.degrees(2.0 * np.arcsin(np.minimum(1.0, np.sqrt(s))))
     raise ValueError(f"unknown metric {metric!r}; use 'euclidean' or 'greatcircle'")
 
 
@@ -154,6 +149,15 @@ def knn_inverse_distance(locations, k: int, cutoff: float, metric: str = "euclid
     return row_normalize(w)
 
 
+def _system_matrix(rho: float, w) -> np.ndarray:
+    """I - rho W, for |rho| < 1."""
+    if not abs(rho) < 1.0:
+        raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
+    a = -rho * np.asarray(w, dtype=float)
+    np.fill_diagonal(a, a.diagonal() + 1.0)
+    return a
+
+
 def log_det_system(rho: float, w) -> float:
     """ln |det(I - rho W)| via pivoted LU factorization.
 
@@ -161,17 +165,20 @@ def log_det_system(rho: float, w) -> float:
     vanishes; for row-stochastic W and |rho| < 1 the system is guaranteed
     nonsingular with positive determinant.
     """
-    w = np.asarray(w, dtype=float)
-    if abs(rho) >= 1.0:
-        raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-    a = -rho * w
-    np.fill_diagonal(a, a.diagonal() + 1.0)
-    sign, logdet = np.linalg.slogdet(a)
+    sign, logdet = np.linalg.slogdet(_system_matrix(rho, w))
     if sign == 0.0:
         raise NumericalError(f"I - rho W is singular at rho={rho}")
     if sign < 0.0:
         raise NumericalError(f"det(I - rho W) is negative at rho={rho}")
     return float(logdet)
+
+
+def solve_system(rho: float, w, rhs) -> np.ndarray:
+    """Solve (I - rho W) x = rhs; a singular system raises :class:`NumericalError`."""
+    try:
+        return np.linalg.solve(_system_matrix(rho, w), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"I - rho W is singular at rho={rho}") from exc
 
 
 def morans_i(values, w) -> MoranReport:

@@ -1,12 +1,13 @@
 """Design assembly, concentrated likelihood, rho optimization, full fits, Wald."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from mixsar import geometry
+from mixsar import geometry, model
 from mixsar.errors import NumericalError
 from mixsar.functional import CurveSample, l2_inner, trapezoid_weights
 from mixsar.model import (
@@ -320,6 +321,51 @@ def test_fit_composition_coefficient_on_simplex():
     assert res.beta_comp_hat.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(res.beta_comp_hat > 0)
     np.testing.assert_allclose(geometry.ilr(res.beta_comp_hat), res.theta_hat, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["rook", "knn"])
+@pytest.mark.parametrize("rho", [None, 0.6, -0.5])
+def test_fit_loglik_is_full_loglik_at_the_estimates(kind, rho):
+    rng = np.random.default_rng(29)
+    if kind == "rook":
+        y, x, w, _ = sar_instance(n_rows=6, n_cols=6, rng=rng)
+    else:
+        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(36, 2)), k=4, cutoff=100.0)
+        x = rng.normal(size=(36, 2))
+        y = np.linalg.solve(np.eye(36) - 0.4 * w, 0.5 + x @ [1.0, -0.7] + rng.normal(size=36))
+    res = fit(y, scalars=x, weights=w, rho=rho)
+    expected = full_loglik(res.rho_hat, res.delta_hat, res.sigma2_hat, make_design(y, x, w))
+    np.testing.assert_allclose(res.loglik, expected, rtol=1e-10, atol=0)
+
+
+def test_least_squares_run_once_per_target_per_design(monkeypatch):
+    calls = []
+    solve_ls = model._solve_ls
+
+    def counted(z, target):
+        calls.append(target)
+        return solve_ls(z, target)
+
+    monkeypatch.setattr(model, "_solve_ls", counted)
+    y, x, w, _ = sar_instance(n_rows=5, n_cols=6, rng=np.random.default_rng(5))
+    fit(y, scalars=x, weights=w, std_errors=True)
+    assert len(calls) == 2  # y and Wy on Z
+
+    calls.clear()
+    d = make_design(y, x, w)
+    rho_hat = optimize_rho(d)
+    for view in (delta_hat, sigma2_hat, concentrated_loglik):
+        view(rho_hat, d)
+    assert len(calls) == 2
+
+
+def test_design_with_a_profile_is_freed_without_the_cyclic_collector():
+    y, x, w, _ = sar_instance(n_rows=5, n_cols=6, rng=np.random.default_rng(6))
+    d = make_design(y, x, w)
+    optimize_rho(d)
+    ref = weakref.ref(d)
+    del d
+    assert ref() is None
 
 
 # -- Wald inference --------------------------------------------------------------------------

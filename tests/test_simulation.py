@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mixsar import geometry
+from mixsar.errors import NumericalError
 from mixsar.functional import trapezoid_weights
 from mixsar.simulation import (
     COMP_ILR_COV,
@@ -147,6 +148,12 @@ def test_gen_response_spatial_multiplier_inflates_variance():
     y0 = gen_response(w, 0.0, None, None, None, None, scalars, 0.0, 1.0, np.random.default_rng(5))
     y8 = gen_response(w, 0.8, None, None, None, None, scalars, 0.0, 1.0, np.random.default_rng(5))
     assert np.var(y8) > np.var(y0)
+
+
+def test_gen_response_singular_system_is_a_numerical_error():
+    w = np.array([[0.0, 2.0], [2.0, 0.0]])  # I - 0.5 W is singular
+    with pytest.raises(NumericalError, match="singular"):
+        gen_response(w, 0.5, None, None, None, None, np.ones(2), 1.0, 0.0, _ZeroNormalRng())
 
 
 # -- Monte Carlo driver --------------------------------------------------------------------

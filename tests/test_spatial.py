@@ -14,6 +14,7 @@ from mixsar.spatial import (
     pairwise_distances,
     rook_lattice,
     row_normalize,
+    solve_system,
     validate_weights,
 )
 
@@ -111,6 +112,41 @@ def test_greatcircle_distances():
     np.testing.assert_allclose(d[1, 2], 90.0, atol=1e-9)
 
 
+def scalar_great_circle_degrees(a, b):
+    """Haversine central angle in degrees between two (lon, lat) points, one pair at a time."""
+    lon1, lat1, lon2, lat2 = map(math.radians, (*a, *b))
+    s = math.sin((lat2 - lat1) / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(
+        (lon2 - lon1) / 2
+    ) ** 2
+    return math.degrees(2 * math.asin(min(1.0, math.sqrt(s))))
+
+
+def test_greatcircle_matches_scalar_formula():
+    rng = np.random.default_rng(8)
+    pts = np.vstack([
+        np.column_stack([rng.uniform(-180, 180, 40), rng.uniform(-90, 90, 40)]),
+        [[0.0, 0.0], [180.0, 0.0], [0.0, 90.0], [0.0, -90.0], [10.0, 45.0], [10.0, 45.0 + 1e-9]],
+    ])
+    d = pairwise_distances(pts, metric="greatcircle")
+    n = len(pts)
+    oracle = np.array([[scalar_great_circle_degrees(pts[i], pts[j]) for j in range(n)]
+                       for i in range(n)])
+    np.testing.assert_allclose(d, oracle, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(d, d.T)
+    np.testing.assert_array_equal(np.diag(d), 0.0)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "greatcircle"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distances_reject_non_finite_locations(metric, bad):
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
+    pts[1, 0] = bad
+    with pytest.raises(ValueError, match=r"non-finite location coordinates at units \[1\]"):
+        pairwise_distances(pts, metric)
+    with pytest.raises(ValueError, match="non-finite"):
+        knn_inverse_distance(pts, k=1, cutoff=10.0, metric=metric)
+
+
 # -- row normalization --------------------------------------------------------------
 
 def test_row_normalize_example():
@@ -130,6 +166,21 @@ def test_row_normalize_row_sums():
 def test_row_normalize_rejects_zero_row():
     with pytest.raises(ValueError, match=r"\[1\]"):
         row_normalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[0.0, np.nan], [1.0, 0.0]], "non-finite"),
+    ([[0.0, np.inf], [1.0, 0.0]], "non-finite"),
+    ([[0.0, -1.0], [1.0, 0.0]], "non-negative"),
+    ([[1.0, 0.0], [0.0, 1.0]], "diagonal"),
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], "square"),
+])
+def test_normalize_and_validate_share_the_matrix_checks(bad, message):
+    with pytest.raises(ValueError, match=message) as normalized:
+        row_normalize(bad)
+    with pytest.raises(ValueError, match=message) as validated:
+        validate_weights(bad)
+    assert str(normalized.value) == str(validated.value)
 
 
 # -- log determinant ------------------------------------------------------------------
@@ -185,6 +236,39 @@ def test_log_det_singularity_flagged():
     w = np.array([[0.0, 2.0], [2.0, 0.0]])
     with pytest.raises(NumericalError):
         log_det_system(0.5, w)  # det = 1 - 1 = 0
+
+
+# -- linear solves with I - rho W --------------------------------------------------------
+
+def test_solve_system_matches_dense_inverse():
+    w = random_weights(9)
+    rhs = RNG.normal(size=(9, 3))
+    for rho in (-0.8, 0.0, 0.6):
+        expected = np.linalg.inv(np.eye(9) - rho * w) @ rhs
+        np.testing.assert_allclose(solve_system(rho, w, rhs), expected, atol=1e-12)
+        np.testing.assert_allclose(solve_system(rho, w, rhs[:, 0]), expected[:, 0], atol=1e-12)
+
+
+def test_solve_system_leaves_weights_untouched():
+    w = random_weights(6)
+    before = w.copy()
+    solve_system(0.7, w, np.ones(6))
+    np.testing.assert_array_equal(w, before)
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, np.nan])
+def test_solve_system_and_log_det_reject_rho_out_of_range(rho):
+    w = random_weights(3)
+    with pytest.raises(ValueError, match=r"\|rho\| < 1"):
+        solve_system(rho, w, np.ones(3))
+    with pytest.raises(ValueError, match=r"\|rho\| < 1"):
+        log_det_system(rho, w)
+
+
+def test_solve_system_singularity_flagged():
+    w = np.array([[0.0, 2.0], [2.0, 0.0]])
+    with pytest.raises(NumericalError, match="singular"):
+        solve_system(0.5, w, np.ones(2))
 
 
 # -- Moran's I -------------------------------------------------------------------------
