@@ -342,9 +342,7 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     sigma2 = float(resid @ resid) / design.n
     if sigma2 <= 0.0:
         raise NumericalError("exact fit: residual variance is zero")
-    # full_loglik at these estimates, whose quadratic term e'e / (2 sigma2) is n/2
-    loglik = (log_det_system(rho_hat, design.W)
-              - 0.5 * design.n * (np.log(2.0 * np.pi * sigma2) + 1.0))
+    loglik = full_loglik(rho_hat, delta, sigma2, design)
 
     def block(name):
         return delta[design.blocks[name]] if name in design.blocks else np.empty(0)
@@ -399,9 +397,10 @@ def wald_std_errors(design: MixedDesign, result: FitResult):
     """
     rho, delta, s2 = result.rho_hat, result.delta_hat, result.sigma2_hat
     params = np.concatenate([[rho], delta, [s2]])
-    e = result.residuals
+    wy = design.W @ design.y
+    e = design.y - rho * wy - design.Z @ delta
     g = solve_system(rho, design.W, design.W)
-    x = np.column_stack([design._profile.wy, design.Z])  # de/d(rho, delta) = -[Wy | Z]
+    x = np.column_stack([wy, design.Z])  # de/d(rho, delta) = -[Wy | Z]
 
     hess = np.empty((params.size, params.size))
     hess[:-1, :-1] = -(x.T @ x) / s2
