@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Input/validation problems raise plain ``ValueError``; numerical failures
-(singular systems, non-finite objectives, indefinite Hessians) raise
-:class:`NumericalError`.
+(singular systems, non-finite results) raise :class:`NumericalError`. An
+indefinite Wald Hessian only warns (``model.wald_std_errors`` returns None).
 """
 
 

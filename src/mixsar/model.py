@@ -212,7 +212,7 @@ def sigma2_hat(rho: float, design: MixedDesign) -> float:
 
 def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
     """Gaussian log-likelihood of the spatial-lag system at given parameters."""
-    if sigma2 <= 0.0:
+    if not sigma2 > 0.0:
         raise ValueError("sigma2 must be positive")
     delta = np.asarray(delta, dtype=float)
     e = design.y - rho * (design.W @ design.y) - design.Z @ delta
@@ -257,10 +257,9 @@ def optimize_rho(design: MixedDesign) -> float:
 
     def objective(rho: float) -> float:
         try:
-            val = profile.loglik(rho)
+            return profile.loglik(rho)
         except NumericalError:
             return -np.inf
-        return val if np.isfinite(val) else -np.inf
 
     grid = np.linspace(-RHO_BOUND, RHO_BOUND, _RHO_GRID_POINTS)
     vals = np.array([objective(r) for r in grid])
@@ -330,7 +329,7 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     )
 
     if rho is not None:
-        if abs(rho) >= 1.0:
+        if not abs(rho) < 1.0:
             raise ValueError(f"pinned rho must satisfy |rho| < 1, got {rho}")
         rho_hat = float(rho)
     else:

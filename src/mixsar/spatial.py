@@ -78,14 +78,10 @@ def rook_lattice(n_rows: int, n_cols: int) -> np.ndarray:
     if n_rows < 1 or n_cols < 1 or n_rows * n_cols < 2:
         raise ValueError("lattice needs at least 2 cells")
     n = n_rows * n_cols
+    cell = np.arange(n).reshape(n_rows, n_cols)
     adj = np.zeros((n, n))
-    for r in range(n_rows):
-        for c in range(n_cols):
-            i = r * n_cols + c
-            if c + 1 < n_cols:
-                adj[i, i + 1] = adj[i + 1, i] = 1.0
-            if r + 1 < n_rows:
-                adj[i, i + n_cols] = adj[i + n_cols, i] = 1.0
+    for a, b in ((cell[:, :-1], cell[:, 1:]), (cell[:-1], cell[1:])):
+        adj[a, b] = adj[b, a] = 1.0
     return row_normalize(adj)
 
 
@@ -122,30 +118,28 @@ def knn_inverse_distance(locations, k: int, cutoff: float, metric: str = "euclid
     1/distance, then row-normalized. A unit that retains no neighbour is an
     error naming the unit.
     """
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if cutoff <= 0:
+    if not cutoff > 0:
         raise ValueError("cutoff must be positive")
     dist = pairwise_distances(locations, metric)
     n = dist.shape[0]
-    off_diag = ~np.eye(n, dtype=bool)
-    if np.any(dist[off_diag] <= 0):
+    np.fill_diagonal(dist, np.inf)  # each unit sorts itself last
+    if np.any(dist <= 0):
         raise ValueError("all pairwise distances must be positive (duplicate locations?)")
 
-    w = np.zeros((n, n))
-    isolated = []
-    for i in range(n):
-        others = np.delete(np.arange(n), i)
-        eligible = others[dist[i, others] <= cutoff]
-        if eligible.size == 0:
-            isolated.append(i)
-            continue
-        # stable sort on distance keeps lower indices first among ties
-        order = eligible[np.argsort(dist[i, eligible], kind="stable")]
-        keep = order[:k]
-        w[i, keep] = 1.0 / dist[i, keep]
+    rows = np.arange(n)[:, None]
+    # stable sort on distance keeps lower indices first among ties
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :min(k, n - 1)]
+    near = dist[rows, nearest]
+    within = near <= cutoff
+    isolated = np.flatnonzero(~within.any(axis=1)).tolist()
     if isolated:
         raise ValueError(f"units with no neighbour within cutoff {cutoff}: {isolated}")
+    w = np.zeros((n, n))
+    w[rows, nearest] = np.where(within, 1.0 / near, 0.0)
     return row_normalize(w)
 
 
@@ -161,24 +155,29 @@ def _system_matrix(rho: float, w) -> np.ndarray:
 def log_det_system(rho: float, w) -> float:
     """ln |det(I - rho W)| via pivoted LU factorization.
 
-    Raises :class:`NumericalError` when the determinant is non-positive or
-    vanishes; for row-stochastic W and |rho| < 1 the system is guaranteed
-    nonsingular with positive determinant.
+    Raises :class:`NumericalError` when the determinant is non-positive,
+    vanishes or is not finite; for row-stochastic W and |rho| < 1 the system
+    is guaranteed nonsingular with positive determinant.
     """
     sign, logdet = np.linalg.slogdet(_system_matrix(rho, w))
     if sign == 0.0:
         raise NumericalError(f"I - rho W is singular at rho={rho}")
     if sign < 0.0:
         raise NumericalError(f"det(I - rho W) is negative at rho={rho}")
+    if not np.isfinite(logdet):
+        raise NumericalError(f"ln|det(I - rho W)| is not finite at rho={rho}")
     return float(logdet)
 
 
 def solve_system(rho: float, w, rhs) -> np.ndarray:
-    """Solve (I - rho W) x = rhs; a singular system raises :class:`NumericalError`."""
+    """Solve (I - rho W) x = rhs; raises :class:`NumericalError` if singular or non-finite."""
     try:
-        return np.linalg.solve(_system_matrix(rho, w), rhs)
+        x = np.linalg.solve(_system_matrix(rho, w), rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"I - rho W is singular at rho={rho}") from exc
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"solution of (I - rho W) x = rhs is not finite at rho={rho}")
+    return x
 
 
 def morans_i(values, w) -> MoranReport:

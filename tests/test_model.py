@@ -153,6 +153,14 @@ def test_full_loglik_matches_reduced_form_density():
     assert full_loglik(rho, delta, sigma2, d) == pytest.approx(oracle, abs=1e-8)
 
 
+@pytest.mark.parametrize("sigma2", [np.nan, 0.0, -1.0])
+def test_full_loglik_rejects_non_positive_sigma2(sigma2):
+    y, x, w, _ = sar_instance()
+    d = make_design(y, x, w)
+    with pytest.raises(ValueError, match="sigma2 must be positive"):
+        full_loglik(0.3, delta_hat(0.3, d), sigma2, d)
+
+
 def test_maximized_loglik_dominates_grid():
     y, x, w, _ = sar_instance(rho=0.5)
     d = make_design(y, x, w)
@@ -217,6 +225,13 @@ def mixed_inputs(n_rows=5, n_cols=6, rho=0.4, seed=11):
     )
     y = np.linalg.solve(np.eye(n) - rho * w, signal + 0.5 * rng.normal(size=n))
     return y, curves, comps, x, w
+
+
+@pytest.mark.parametrize("rho", [np.nan, 1.0, -1.5])
+def test_fit_rejects_pinned_rho_outside_unit_interval(rho):
+    y, x, w, _ = sar_instance()
+    with pytest.raises(ValueError, match="pinned rho"):
+        fit(y, scalars=x, weights=w, rho=rho)
 
 
 def test_fit_pinned_zero_rho_reproduces_ols():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixsar.errors import NumericalError
 from mixsar.spatial import (
@@ -67,6 +69,43 @@ def test_rook_rejects_single_cell():
         rook_lattice(1, 1)
 
 
+def reference_rook(n_rows, n_cols):
+    """Cell-by-cell construction: link each cell to its right and lower neighbour."""
+    if n_rows < 1 or n_cols < 1 or n_rows * n_cols < 2:
+        raise ValueError("lattice needs at least 2 cells")
+    n = n_rows * n_cols
+    adj = np.zeros((n, n))
+    for r in range(n_rows):
+        for c in range(n_cols):
+            i = r * n_cols + c
+            if c + 1 < n_cols:
+                adj[i, i + 1] = adj[i + 1, i] = 1.0
+            if r + 1 < n_rows:
+                adj[i, i + n_cols] = adj[i + n_cols, i] = 1.0
+    return row_normalize(adj)
+
+
+def outcome(build, *args):
+    """The matrix ``build`` returns, or the message of the ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_same_outcome(actual, expected):
+    if isinstance(expected, str) or isinstance(actual, str):
+        assert actual == expected
+    else:
+        np.testing.assert_array_equal(actual, expected)
+
+
+def test_rook_matches_cell_loop_up_to_12x12():
+    for n_rows, n_cols in itertools.product(range(1, 13), repeat=2):
+        assert_same_outcome(outcome(rook_lattice, n_rows, n_cols),
+                            outcome(reference_rook, n_rows, n_cols))
+
+
 # -- kNN inverse distance ---------------------------------------------------------
 
 def test_knn_collinear_tie_breaks_low_index():
@@ -95,6 +134,83 @@ def test_knn_isolated_unit_identified():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [500.0, 0.0]])
     with pytest.raises(ValueError, match=r"\[2\]"):
         knn_inverse_distance(pts, k=2, cutoff=10.0)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "greatcircle"])
+def test_knn_rejects_duplicate_locations(metric):
+    pts = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"positive \(duplicate locations\?\)"):
+        knn_inverse_distance(pts, k=1, cutoff=10.0, metric=metric)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+def test_knn_rejects_non_integer_k(k):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(ValueError, match=r"k must be an integer"):
+        knn_inverse_distance(pts, k=k, cutoff=10.0)
+
+
+def test_knn_accepts_numpy_integer_k():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    np.testing.assert_array_equal(knn_inverse_distance(pts, k=np.int64(2), cutoff=10.0),
+                                  knn_inverse_distance(pts, k=2, cutoff=10.0))
+
+
+@pytest.mark.parametrize("cutoff", [np.nan, 0.0, -1.0])
+def test_knn_rejects_non_positive_cutoff(cutoff):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        knn_inverse_distance(pts, k=1, cutoff=cutoff)
+
+
+def reference_knn(locations, k, cutoff, metric):
+    """Unit-by-unit construction: sort each unit's eligible neighbours on its own."""
+    dist = pairwise_distances(locations, metric)
+    n = dist.shape[0]
+    if np.any(dist[~np.eye(n, dtype=bool)] <= 0):
+        raise ValueError("all pairwise distances must be positive (duplicate locations?)")
+    w = np.zeros((n, n))
+    isolated = []
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        eligible = others[dist[i, others] <= cutoff]
+        if eligible.size == 0:
+            isolated.append(i)
+            continue
+        keep = eligible[np.argsort(dist[i, eligible], kind="stable")][:k]
+        w[i, keep] = 1.0 / dist[i, keep]
+    if isolated:
+        raise ValueError(f"units with no neighbour within cutoff {cutoff}: {isolated}")
+    return row_normalize(w)
+
+
+@st.composite
+def knn_cases(draw):
+    """Small point sets laid out to produce ties and duplicates, plus scattered sphere points."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    layout = draw(st.sampled_from(["grid", "line", "scattered"]))
+    if layout == "grid":
+        cell = st.integers(min_value=0, max_value=3).map(float)
+        point = st.tuples(cell, cell)
+    elif layout == "line":
+        point = st.tuples(st.integers(min_value=0, max_value=6).map(float), st.just(0.0))
+    else:
+        point = st.tuples(st.floats(-180.0, 180.0), st.floats(-90.0, 90.0))
+    pts = np.array(draw(st.lists(point, min_size=n, max_size=n)), dtype=float)
+    k = draw(st.integers(min_value=1, max_value=n + 2))
+    cutoff = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 10.0, 100.0, math.inf]))
+    metric = draw(st.sampled_from(["euclidean", "greatcircle"]))
+    return pts, k, cutoff, metric
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(knn_cases())
+@example((np.array([[0.0, 0.0]]), 1, math.inf, "euclidean"))
+@example((np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), 1, 10.0, "greatcircle"))
+@example((np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), 6, math.inf, "euclidean"))
+@example((np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 1, 1.0, "greatcircle"))
+def test_knn_matches_per_unit_loop(case):
+    assert_same_outcome(outcome(knn_inverse_distance, *case), outcome(reference_knn, *case))
 
 
 def test_knn_weights_inverse_distance_before_normalization():
@@ -229,6 +345,19 @@ def test_log_det_smooth_in_rho():
 def test_log_det_rejects_rho_out_of_range():
     with pytest.raises(ValueError):
         log_det_system(1.0, random_weights(3))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in slogdet:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_log_det_rejects_non_finite_weights(bad):
+    with pytest.raises(NumericalError, match=r"rho=0\.5"):
+        log_det_system(0.5, np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def test_solve_system_rejects_non_finite_solution():
+    w = np.array([[0.0, np.nan], [np.nan, 0.0]])
+    with pytest.raises(NumericalError, match=r"not finite at rho=0\.5"):
+        solve_system(0.5, w, np.ones(2))
 
 
 def test_log_det_singularity_flagged():
