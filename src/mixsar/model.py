@@ -36,7 +36,7 @@ from .functional import (
     scores,
     smooth_curves,
 )
-from .spatial import MoranReport, log_det_system, morans_i, solve_system, validate_weights
+from .spatial import MoranReport, SpatialWeights, log_det_system, morans_i, solve_system
 
 RHO_BOUND = 0.999
 _RHO_GRID_POINTS = 201
@@ -54,7 +54,7 @@ class MixedDesign:
 
     y: np.ndarray
     Z: np.ndarray
-    W: np.ndarray
+    weights: SpatialWeights
     column_labels: tuple[str, ...]
     blocks: dict[str, slice]
 
@@ -62,9 +62,13 @@ class MixedDesign:
     def n(self) -> int:
         return self.y.size
 
+    @property
+    def W(self) -> np.ndarray:
+        return self.weights.matrix
+
     @cached_property
     def _profile(self) -> _Profile:
-        return _Profile(self.y, self.Z, self.W)
+        return _Profile(self.y, self.Z, self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,16 +106,21 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
                     scalar_labels=None) -> MixedDesign:
     """Stack [intercept | FPC scores | ilr coordinates | scalars] into Z.
 
-    Verifies consistent row counts and that every block adds full column
-    rank; a deficient block is named in the error.
+    ``weights`` is a :class:`~mixsar.spatial.SpatialWeights`, whose memo of
+    log-determinants the design then shares, or a row-stochastic ``(n, n)``
+    array with no isolated units, wrapped in a fresh one. Verifies consistent
+    row counts and that every block adds full column rank; a deficient block
+    is named in the error.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = y.size
     if not np.all(np.isfinite(y)):
         raise ValueError("response contains non-finite values")
-    w = validate_weights(weights, allow_isolated=False)
-    if w.shape[0] != n:
-        raise ValueError(f"weights are {w.shape[0]}x{w.shape[0]} but response has {n} rows")
+    if not isinstance(weights, SpatialWeights):
+        weights = SpatialWeights(weights)
+    m = weights.matrix.shape[0]
+    if m != n:
+        raise ValueError(f"weights are {m}x{m} but response has {n} rows")
 
     parts = [np.ones((n, 1))]
     labels = ["intercept"]
@@ -151,7 +160,7 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
         cols = blocks[name].stop
         if np.linalg.matrix_rank(z[:, :cols]) < cols:
             raise ValueError(f"design is rank deficient at block '{name}'")
-    return MixedDesign(y=y, Z=z, W=w, column_labels=tuple(labels), blocks=blocks)
+    return MixedDesign(y=y, Z=z, weights=weights, column_labels=tuple(labels), blocks=blocks)
 
 
 class _Profile:
@@ -159,13 +168,14 @@ class _Profile:
 
     Least squares of y and of Wy on Z, done once, give delta(rho) =
     d_y - rho d_w; the residual quadratic ||e_y - rho e_w||^2 gives sigma2(rho).
-    It keeps n and W, not the design, so a design caching it forms no cycle.
+    It keeps n and the weights, not the design, so a design caching it forms
+    no cycle.
     """
 
-    def __init__(self, y: np.ndarray, z: np.ndarray, w: np.ndarray):
+    def __init__(self, y: np.ndarray, z: np.ndarray, weights: SpatialWeights):
         self.n = y.size
-        self.w = w
-        self.wy = w @ y
+        self.weights = weights
+        self.wy = weights.matrix @ y
         self.d_y = _solve_ls(z, y)
         self.d_w = _solve_ls(z, self.wy)
         e_y = y - z @ self.d_y
@@ -184,7 +194,7 @@ class _Profile:
         s2 = self.sigma2(rho)
         if s2 <= 0.0 or not np.isfinite(s2):
             raise NumericalError(f"residual variance degenerate at rho={rho}")
-        return -0.5 * self.n * np.log(s2) + log_det_system(rho, self.w)
+        return -0.5 * self.n * np.log(s2) + self.weights.log_det(rho)
 
 
 def _solve_ls(z: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -295,8 +305,10 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
         Compositional covariate rows (validated against the simplex).
     scalars : array_like, shape (n,) or (n, q) | None
         Numerical covariates.
-    weights : array_like, shape (n, n)
-        Row-stochastic spatial weights, no isolated units.
+    weights : array_like, shape (n, n), or SpatialWeights
+        Row-stochastic spatial weights, no isolated units. Fits that share one
+        :class:`~mixsar.spatial.SpatialWeights` compute each ln|I - rho W| once;
+        an array is wrapped in a fresh one for this fit.
     derivative : bool
         Differentiate the (smoothed) curves before FPCA.
     std_errors : bool

@@ -13,10 +13,14 @@ Responses solve ``(I - rho W) y = signal + noise_scale * eps`` with the true
 coefficient curve ``0.3 phi_1 + sum_{j>=2} 4 (-1)^(j+1) j^-2 phi_j``, true
 compositional coefficient (4/9, 2/9, 1/3), and true scalar slope 1.
 
-Each replication derives an independent generator from ``(seed, rep)``, so
-results are bit-identical for any worker count and aggregation happens in
-replication order. Reported spreads are population (ddof=0) standard
-deviations, which makes a single-replication report show zeros.
+W is built once per setting, as one :class:`~mixsar.spatial.SpatialWeights`
+that the replications' fits share, so each ln|I - rho W| is computed once per
+setting (with ``workers > 1``, once per chunk of replications a worker
+receives). Each replication derives an independent generator from
+``(seed, rep)``, so results are bit-identical for any worker count and
+aggregation happens in replication order. Reported spreads are population
+(ddof=0) standard deviations, which makes a single-replication report show
+zeros.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from . import geometry
 from .functional import CurveSample, trapezoid_weights
 from .model import fit
-from .spatial import rook_lattice, solve_system
+from .spatial import SpatialWeights, rook_lattice, solve_system
 
 N_SERIES_TERMS = 50
 TRUE_SCALAR_COEF = 1.0
@@ -158,22 +162,21 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
     return solve_system(rho, weights, signal + noise_scale * rng.standard_normal(n))
 
 
-def _replicate(config: SimConfig, rep: int):
-    """One seeded replication: generate, fit, and score the estimators."""
+def _replicate(config: SimConfig, weights: SpatialWeights, rep: int):
+    """One seeded replication on the setting's lattice: generate, fit, and score."""
     rng = np.random.default_rng([config.seed, rep])
     n = config.n_units
-    w = rook_lattice(config.n_rows, config.n_cols)
     grid = np.linspace(0.0, 1.0, config.grid_size)
 
     curves = gen_functional(n, config.alpha_decay, grid, rng)
     comps = gen_composition(n, COMP_MEAN, COMP_ILR_COV, rng)
     scalars = rng.normal(SCALAR_MEAN, SCALAR_SD, size=n)
     y = gen_response(
-        w, config.rho_true, curves, true_beta_t(grid), comps, TRUE_COMP_COEF,
+        weights.matrix, config.rho_true, curves, true_beta_t(grid), comps, TRUE_COMP_COEF,
         scalars, TRUE_SCALAR_COEF, config.noise_scale, rng,
     )
     try:
-        res = fit(y, curves, comps, scalars, weights=w, pve=config.pve)
+        res = fit(y, curves, comps, scalars, weights=weights, pve=config.pve)
     except Exception as exc:
         raise RuntimeError(
             f"replication {rep} failed (sub-seed [{config.seed}, {rep}]): {exc}"
@@ -194,11 +197,12 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimReport:
     own generator from (seed, rep) and aggregation is in replication order.
     """
     t0 = time.perf_counter()
+    weights = SpatialWeights(rook_lattice(config.n_rows, config.n_cols))
     reps = range(config.n_reps)
     if workers <= 1:
-        records = [_replicate(config, r) for r in reps]
+        records = [_replicate(config, weights, r) for r in reps]
     else:
-        task = partial(_replicate, config)
+        task = partial(_replicate, config, weights)
         chunk = max(1, config.n_reps // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(task, reps, chunksize=chunk))

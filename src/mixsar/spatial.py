@@ -1,10 +1,14 @@
 """Spatial weight matrices, the spatial system I - rho W, and spatial diagnostics.
 
-Weight matrices are plain dense ``(n, n)`` float arrays with zero diagonals
-and row sums of 1 (all-zero rows mark isolated units and are rejected by
-consumers that need a fully connected system). Constructors here always
-return row-normalized matrices. This module owns I - rho W: one builder, which
-checks |rho| < 1, serves both ``log_det_system`` and ``solve_system``.
+Weight matrices are dense ``(n, n)`` float arrays with zero diagonals and row
+sums of 1 (all-zero rows mark isolated units and are rejected by consumers
+that need a fully connected system). Constructors here always return
+row-normalized matrices. Weights travel either as such arrays or as a
+:class:`SpatialWeights`, which holds one validated, fully connected matrix and
+remembers each ln|I - rho W| it has computed, so fits that share it (the
+replications of one Monte Carlo setting) compute each log-determinant once.
+This module owns I - rho W: one builder, which checks |rho| < 1, serves both
+``log_det_system`` and ``solve_system``.
 """
 
 from __future__ import annotations
@@ -170,14 +174,59 @@ def log_det_system(rho: float, w) -> float:
 
 
 def solve_system(rho: float, w, rhs) -> np.ndarray:
-    """Solve (I - rho W) x = rhs; raises :class:`NumericalError` if singular or non-finite."""
+    """Solve (I - rho W) x = rhs.
+
+    Raises ``ValueError`` naming the non-finite entries of W, and
+    :class:`NumericalError` if the system is singular or the solution is not
+    finite.
+    """
+    a = _system_matrix(rho, w)
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(f"weight matrix has {len(bad)} non-finite entries, at (row, col) "
+                         f"{bad[:10].tolist()}{' ...' if len(bad) > 10 else ''}")
     try:
-        x = np.linalg.solve(_system_matrix(rho, w), rhs)
+        x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"I - rho W is singular at rho={rho}") from exc
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"solution of (I - rho W) x = rhs is not finite at rho={rho}")
     return x
+
+
+# Most log-determinants one SpatialWeights remembers: the 201-point rho grid
+# plus the golden-section points of a few dozen fits.
+_LOG_DET_MEMO_SIZE = 4096
+
+
+class SpatialWeights:
+    """One fully connected weight matrix and the ln|I - rho W| computed on it.
+
+    ``matrix`` is what ``validate_weights(w, allow_isolated=False)`` returns,
+    made read-only; it shares memory with ``w`` when ``w`` already is a float
+    array, so ``w`` must not change afterwards. ``log_det(rho)`` equals
+    ``log_det_system(rho, matrix)`` exactly; each rho is computed once, up to
+    ``_LOG_DET_MEMO_SIZE`` distinct values, beyond which values are computed
+    but not kept.
+    """
+
+    def __init__(self, w):
+        self.matrix = validate_weights(w, allow_isolated=False).view()
+        self.matrix.flags.writeable = False
+        self._log_dets: dict[float, float] = {}
+
+    def log_det(self, rho: float) -> float:
+        """ln|det(I - rho W)|, as :func:`log_det_system` computes it."""
+        val = self._log_dets.get(rho)
+        if val is None:
+            val = log_det_system(rho, self.matrix)
+            if len(self._log_dets) < _LOG_DET_MEMO_SIZE:
+                self._log_dets[rho] = val
+        return val
+
+    def __reduce__(self):
+        # a copy, e.g. sent to a worker process, starts with an empty memo
+        return type(self), (self.matrix,)
 
 
 def morans_i(values, w) -> MoranReport:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from mixsar import geometry, model
+from mixsar import geometry, model, spatial
 from mixsar.errors import NumericalError
 from mixsar.functional import CurveSample, l2_inner, trapezoid_weights
 from mixsar.model import (
@@ -21,7 +21,7 @@ from mixsar.model import (
     sigma2_hat,
     wald_std_errors,
 )
-from mixsar.spatial import knn_inverse_distance, rook_lattice
+from mixsar.spatial import SpatialWeights, knn_inverse_distance, rook_lattice
 
 RNG = np.random.default_rng(1234)
 
@@ -372,6 +372,39 @@ def test_least_squares_run_once_per_target_per_design(monkeypatch):
     for view in (delta_hat, sigma2_hat, concentrated_loglik):
         view(rho_hat, d)
     assert len(calls) == 2
+
+
+def test_fits_sharing_spatial_weights_match_fits_on_the_array(monkeypatch):
+    w = rook_lattice(6, 7)
+    shared = SpatialWeights(w)
+    misses = []
+    dense = spatial.log_det_system
+
+    def counted(rho, w):
+        misses.append(rho)
+        return dense(rho, w)
+
+    monkeypatch.setattr(spatial, "log_det_system", counted)
+    for seed in (21, 22):
+        y, x, _, _ = sar_instance(n_rows=6, n_cols=7, rng=np.random.default_rng(seed))
+        plain = fit(y, scalars=x, weights=w, std_errors=True)
+        misses.clear()
+        res = fit(y, scalars=x, weights=shared, std_errors=True)
+        for name in ("rho_hat", "delta_hat", "sigma2_hat", "std_errors", "loglik", "fitted"):
+            np.testing.assert_array_equal(getattr(res, name), getattr(plain, name), err_msg=name)
+        # the first shared fit fills the grid; the second is served from the memo
+        assert (len(misses) > model._RHO_GRID_POINTS) == (seed == 21)
+
+
+def test_assemble_design_takes_spatial_weights_as_they_are():
+    y, x, w, _ = sar_instance()
+    shared = SpatialWeights(w)
+    assert assemble_design(y, scalars=x, weights=shared).weights is shared
+    d = assemble_design(y, scalars=x, weights=w)
+    assert isinstance(d.weights, SpatialWeights) and d.W is d.weights.matrix
+    np.testing.assert_array_equal(d.W, w)
+    with pytest.raises(ValueError, match="weights are 20x20 but response has 19 rows"):
+        assemble_design(y[:-1], scalars=x[:-1], weights=shared)
 
 
 def test_design_with_a_profile_is_freed_without_the_cyclic_collector():

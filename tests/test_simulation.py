@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mixsar import geometry
+from mixsar import geometry, model, simulation, spatial
 from mixsar.errors import NumericalError
 from mixsar.functional import trapezoid_weights
 from mixsar.simulation import (
@@ -156,7 +156,42 @@ def test_gen_response_singular_system_is_a_numerical_error():
         gen_response(w, 0.5, None, None, None, None, np.ones(2), 1.0, 0.0, _ZeroNormalRng())
 
 
+def test_gen_response_names_non_finite_weights():
+    w = np.array([[0.0, np.inf], [np.inf, 0.0]])  # the solve alone returns [-0, -0]
+    with pytest.raises(ValueError,
+                       match=r"2 non-finite entries, at \(row, col\) \[\[0, 1\], \[1, 0\]\]$"):
+        gen_response(w, 0.5, None, None, None, None, np.ones(2), 1.0, 0.0, _ZeroNormalRng())
+
+
 # -- Monte Carlo driver --------------------------------------------------------------------
+
+def test_monte_carlo_reuses_log_dets_across_replications(monkeypatch):
+    """W is built once per setting, so later fits reuse the grid's log-determinants."""
+    per_fit, rhos = [], []
+    dense = spatial.log_det_system
+
+    def counted(rho, w):
+        rhos.append(float(rho))
+        return dense(rho, w)
+
+    def counted_fit(*args, **kwargs):
+        before = len(rhos)
+        res = model.fit(*args, **kwargs)
+        per_fit.append(rhos[before:])
+        return res
+
+    # the memo's misses and full_loglik's direct call both count
+    monkeypatch.setattr(spatial, "log_det_system", counted)
+    monkeypatch.setattr(model, "log_det_system", counted)
+    monkeypatch.setattr(simulation, "fit", counted_fit)
+    run_monte_carlo(SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1, n_reps=3,
+                              seed=11))
+    assert len(per_fit) == 3
+    grid = np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS)
+    assert set(grid.tolist()) <= set(per_fit[0])
+    assert all(len(calls) < model._RHO_GRID_POINTS for calls in per_fit[1:])
+    assert not set(grid.tolist()) & set(per_fit[1] + per_fit[2])
+
 
 def test_single_replication_report_has_zero_spreads():
     cfg = SimConfig(n_rows=5, n_cols=6, rho_true=0.4, alpha_decay=1.1, n_reps=1, seed=3)

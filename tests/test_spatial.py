@@ -2,14 +2,17 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mixsar import spatial
 from mixsar.errors import NumericalError
 from mixsar.spatial import (
+    SpatialWeights,
     knn_inverse_distance,
     log_det_system,
     morans_i,
@@ -355,9 +358,21 @@ def test_log_det_rejects_non_finite_weights(bad):
 
 
 def test_solve_system_rejects_non_finite_solution():
-    w = np.array([[0.0, np.nan], [np.nan, 0.0]])
+    # finite system, but x = rhs / 0.5 overflows
+    w = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NumericalError, match=r"not finite at rho=0\.5"):
-        solve_system(0.5, w, np.ones(2))
+        solve_system(0.5, w, np.full(2, 1e308))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+@pytest.mark.parametrize("rho", [0.5, 0.0])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_solve_system_names_non_finite_weights(bad, rho):
+    # with inf, the solve alone returns a finite [-0, -0]
+    w = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValueError,
+                       match=r"2 non-finite entries, at \(row, col\) \[\[0, 1\], \[1, 0\]\]$"):
+        solve_system(rho, w, np.ones(2))
 
 
 def test_log_det_singularity_flagged():
@@ -398,6 +413,99 @@ def test_solve_system_singularity_flagged():
     w = np.array([[0.0, 2.0], [2.0, 0.0]])
     with pytest.raises(NumericalError, match="singular"):
         solve_system(0.5, w, np.ones(2))
+
+
+
+def test_solve_system_lists_at_most_ten_non_finite_weights():
+    w = np.full((4, 4), np.inf)
+    np.fill_diagonal(w, 0.0)
+    pairs = [[i, j] for i in range(4) for j in range(4) if i != j][:10]
+    with pytest.raises(ValueError) as err:
+        solve_system(0.5, w, np.ones(4))
+    assert str(err.value) == f"weight matrix has 12 non-finite entries, at (row, col) {pairs} ..."
+
+
+# -- SpatialWeights ----------------------------------------------------------------------
+
+def count_log_dets(monkeypatch):
+    """Count the dense log-determinants computed from here on; returns the rho list."""
+    calls = []
+    dense = spatial.log_det_system
+
+    def counted(rho, w):
+        calls.append(rho)
+        return dense(rho, w)
+
+    monkeypatch.setattr(spatial, "log_det_system", counted)
+    return calls
+
+
+def test_spatial_weights_log_det_equals_log_det_system_exactly():
+    w = random_weights(12)
+    sw = SpatialWeights(w)
+    grid = np.linspace(-0.999, 0.999, 201)
+    for rho in [*grid[::20], -0.123456789, 0.5, 0.98765, grid[7]]:
+        assert sw.log_det(rho) == log_det_system(rho, w)
+        assert sw.log_det(rho) == log_det_system(rho, w)  # from the memo
+
+
+def test_spatial_weights_computes_each_rho_once(monkeypatch):
+    calls = count_log_dets(monkeypatch)
+    sw = SpatialWeights(rook_lattice(3, 4))
+    first = [sw.log_det(r) for r in (0.1, -0.4, 0.1, 0.7)]
+    assert calls == [0.1, -0.4, 0.7]
+    assert [sw.log_det(r) for r in (0.7, np.float64(0.1), -0.4)] == [first[3], first[0], first[1]]
+    assert len(calls) == 3
+
+
+def test_spatial_weights_memo_stops_growing_at_its_cap(monkeypatch):
+    monkeypatch.setattr(spatial, "_LOG_DET_MEMO_SIZE", 3)
+    calls = count_log_dets(monkeypatch)
+    sw = SpatialWeights(rook_lattice(3, 4))
+    rhos = [0.1, 0.2, 0.3, 0.4, 0.5]
+    for r in rhos:
+        sw.log_det(r)
+    assert len(sw._log_dets) == 3
+    calls.clear()
+    for r in rhos:
+        sw.log_det(r)
+    assert calls == [0.4, 0.5]  # computed again, still not kept
+    assert len(sw._log_dets) == 3
+
+
+def test_spatial_weights_matrix_is_a_read_only_view():
+    w = rook_lattice(3, 3)
+    sw = SpatialWeights(w)
+    assert np.shares_memory(sw.matrix, w)
+    np.testing.assert_array_equal(sw.matrix, w)
+    with pytest.raises(ValueError, match="read-only"):
+        sw.matrix[0, 1] = 0.5
+
+
+def test_spatial_weights_copy_keeps_matrix_read_only_with_a_fresh_memo():
+    sw = SpatialWeights(rook_lattice(3, 3))
+    sw.log_det(0.3)
+    copy = pickle.loads(pickle.dumps(sw))
+    np.testing.assert_array_equal(copy.matrix, sw.matrix)
+    assert not copy.matrix.flags.writeable
+    assert copy._log_dets == {}
+    assert copy.log_det(0.3) == sw.log_det(0.3)
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((2, 3)),
+    np.array([[0.0, np.inf], [1.0, 0.0]]),
+    np.array([[0.5, 0.5], [1.0, 0.0]]),
+    np.array([[0.0, 1.0, 0.0], [1.5, 0.0, -0.5], [0.0, 1.0, 0.0]]),
+    np.array([[0.0, 0.5], [1.0, 0.0]]),
+    np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+])
+def test_spatial_weights_rejects_what_validate_weights_rejects(bad):
+    with pytest.raises(ValueError) as expected:
+        validate_weights(bad, allow_isolated=False)
+    with pytest.raises(ValueError) as got:
+        SpatialWeights(bad)
+    assert str(got.value) == str(expected.value)
 
 
 # -- Moran's I -------------------------------------------------------------------------
