@@ -309,10 +309,25 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
         Row-stochastic spatial weights, no isolated units. Fits that share one
         :class:`~mixsar.spatial.SpatialWeights` compute each ln|I - rho W| once;
         an array is wrapped in a fresh one for this fit.
+    pve : float
+        Share of the total FPCA eigenvalue mass the retained components must
+        reach, in (0, 1].
+    bandwidth : float | None
+        Kernel half-width for smoothing raw curves, > 0; None uses the
+        default above. Ignored for an evaluated sample.
+    grid_size : int
+        Number of equally spaced points on [0, 1] that raw curves are
+        smoothed onto, >= 2. Ignored for an evaluated sample.
     derivative : bool
         Differentiate the (smoothed) curves before FPCA.
+    rho : float | None
+        Spatial lag held fixed, with |rho| < 1; None estimates it by profile
+        likelihood on [-RHO_BOUND, RHO_BOUND].
     std_errors : bool
         Attach Wald standard errors / p-values from the closed-form Hessian.
+    scalar_labels : sequence of str | None
+        Names of the scalar columns in ``column_labels``; None gives
+        ``x_1, x_2, ...``.
     """
     if not 0.0 < pve <= 1.0:
         raise ValueError("pve must be in (0, 1]")

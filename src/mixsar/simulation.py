@@ -15,8 +15,8 @@ compositional coefficient (4/9, 2/9, 1/3), and true scalar slope 1.
 
 W is built once per setting, as one :class:`~mixsar.spatial.SpatialWeights`
 that the replications' fits share, so each ln|I - rho W| is computed once per
-setting (with ``workers > 1``, once per chunk of replications a worker
-receives). Each replication derives an independent generator from
+setting, or once per worker when ``workers > 1`` gives each worker one block
+of replications. Each replication derives an independent generator from
 ``(seed, rep)``, so results are bit-identical for any worker count and
 aggregation happens in replication order. Reported spreads are population
 (ddof=0) standard deviations, which makes a single-replication report show
@@ -25,6 +25,7 @@ zeros.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -195,17 +196,20 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimReport:
 
     Results are independent of ``workers``: every replication derives its
     own generator from (seed, rep) and aggregation is in replication order.
+    ``workers`` must be an integer >= 1; with more than one, each worker
+    process receives one contiguous block of replications.
     """
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     t0 = time.perf_counter()
     weights = SpatialWeights(rook_lattice(config.n_rows, config.n_cols))
     reps = range(config.n_reps)
-    if workers <= 1:
+    if workers == 1:
         records = [_replicate(config, weights, r) for r in reps]
     else:
         task = partial(_replicate, config, weights)
-        chunk = max(1, config.n_reps // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(task, reps, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=min(workers, config.n_reps)) as pool:
+            records = list(pool.map(task, reps, chunksize=math.ceil(config.n_reps / workers)))
 
     rho_hats = np.array([r[0] for r in records])
     beta_hats = np.array([r[1] for r in records])

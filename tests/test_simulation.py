@@ -1,6 +1,8 @@
 """Synthetic data generators and the Monte Carlo driver."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -205,16 +207,46 @@ def test_single_replication_report_has_zero_spreads():
 
 
 def test_monte_carlo_deterministic_across_runs_and_workers():
-    cfg = SimConfig(n_rows=5, n_cols=6, rho_true=0.4, alpha_decay=1.1, n_reps=6, seed=11)
-    a = run_monte_carlo(cfg, workers=1)
-    b = run_monte_carlo(cfg, workers=1)
-    c = run_monte_carlo(cfg, workers=3)
-    for rep in (b, c):
-        assert rep.bias_rho == a.bias_rho
-        assert rep.std_rho == a.std_rho
-        assert rep.mean_mse_beta_t == a.mean_mse_beta_t
-        assert np.array_equal(rep.comp_biases, a.comp_biases)
-        assert rep.sstd_comp == a.sstd_comp
+    # 5 reps split unevenly over 2 and 3 workers (a numpy integer counts), and
+    # over more workers than reps
+    cfg = SimConfig(n_rows=5, n_cols=6, rho_true=0.4, alpha_decay=1.1, n_reps=5, seed=11)
+
+    def fields(workers):
+        return {k: repr(v) for k, v in report_csv_fields(run_monte_carlo(cfg, workers)).items()}
+
+    serial = fields(1)
+    for workers in (1, 2, np.int64(3), cfg.n_reps + 2):
+        assert fields(workers) == serial
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, 1.0, "2", None])
+def test_run_monte_carlo_rejects_bad_workers(workers):
+    cfg = SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1, n_reps=2, seed=1)
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        run_monte_carlo(cfg, workers=workers)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched log_det_system only when forked")
+def test_monte_carlo_builds_grid_once_per_worker(monkeypatch, tmp_path):
+    """Each worker receives one block of replications, so one SpatialWeights."""
+    log = tmp_path / "log_dets.txt"
+    dense = spatial.log_det_system
+
+    def logged(rho, w):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {float(rho)!r}\n")
+        return dense(rho, w)
+
+    monkeypatch.setattr(spatial, "log_det_system", logged)
+    run_monte_carlo(SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1, n_reps=8,
+                              seed=11), workers=2)
+    calls = [(int(pid), float(rho)) for pid, rho in map(str.split, log.read_text().splitlines())]
+    grid = set(np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS).tolist())
+    on_grid = [call for call in calls if call[1] in grid]
+    pids = {pid for pid, _ in calls}
+    assert os.getpid() not in pids
+    assert len(on_grid) == len(set(on_grid)) == len(grid) * len(pids)
 
 
 def test_component_biases_sum_to_zero():
@@ -226,10 +258,12 @@ def test_component_biases_sum_to_zero():
 
 def test_replication_failure_names_rep_and_subseed():
     # 2 units cannot support the full design: the wrapped error must point at
-    # the replication and its derived seed
-    cfg = SimConfig(n_rows=1, n_cols=2, rho_true=0.4, alpha_decay=1.1, n_reps=1, seed=123)
-    with pytest.raises(RuntimeError, match=r"replication 0 .*\[123, 0\]"):
-        run_monte_carlo(cfg)
+    # the replication and its derived seed, in the serial and the pool path
+    for workers, n_reps in ((1, 1), (2, 2)):
+        cfg = SimConfig(n_rows=1, n_cols=2, rho_true=0.4, alpha_decay=1.1, n_reps=n_reps,
+                        seed=123)
+        with pytest.raises(RuntimeError, match=r"replication 0 .*\[123, 0\]"):
+            run_monte_carlo(cfg, workers=workers)
 
 
 def test_config_validation():
