@@ -163,18 +163,18 @@ def smooth_curves(raw: RawCurveObservations, bandwidth: float, grid_size: int = 
     raw : RawCurveObservations
         Shared observation points plus one value row per subject.
     bandwidth : float
-        Kernel half-width, > 0.
+        Kernel half-width, finite and > 0.
     grid_size : int
-        Number of evaluation points, >= 2.
+        Number of evaluation points, an integer >= 2.
     """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+    if not 0 < bandwidth < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
+    if not isinstance(grid_size, (int, np.integer)) or grid_size < 2:
+        raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
     times, uniq_idx = np.unique(raw.times, return_index=True)
     values = raw.values[:, uniq_idx]
 
-    grid = np.linspace(0.0, 1.0, int(grid_size))
+    grid = np.linspace(0.0, 1.0, grid_size)
     dist = np.abs(grid[:, None] - times[None, :])  # (G, J)
     u = dist / bandwidth
     kernel = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u**2), 0.0)

@@ -63,12 +63,19 @@ class SimConfig:
     grid_size: int = 100
 
     def __post_init__(self):
+        for name in ("n_rows", "n_cols", "n_reps", "seed", "grid_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_rows < 1 or self.n_cols < 1 or self.n_rows * self.n_cols < 2:
             raise ValueError("lattice needs at least 2 cells")
         if not -1.0 < self.rho_true < 1.0:
             raise ValueError("rho_true must be in (-1, 1)")
-        if self.alpha_decay <= 1.0:
-            raise ValueError("alpha_decay must exceed 1 (square-summable amplitudes)")
+        if not 1.0 < self.alpha_decay < np.inf:
+            raise ValueError("alpha_decay must be finite and exceed 1 "
+                             "(square-summable amplitudes)")
+        if not 0.0 <= self.noise_scale < np.inf:
+            raise ValueError("noise_scale must be finite and non-negative")
         if self.n_reps < 1:
             raise ValueError("n_reps must be at least 1")
         if not 0.0 < self.pve <= 1.0:
@@ -163,8 +170,13 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
     return solve_system(rho, weights, signal + noise_scale * rng.standard_normal(n))
 
 
-def _replicate(config: SimConfig, weights: SpatialWeights, rep: int):
-    """One seeded replication on the setting's lattice: generate, fit, and score."""
+def _replicate(config: SimConfig, weights: SpatialWeights, rep: int) -> tuple:
+    """One seeded replication on the setting's lattice: generate, fit, and score.
+
+    Returns one flat row, ``(rho_hat, beta_scalar_hat, mse_beta_t, *theta_hat)``:
+    the lag estimate, the scalar slope, the coefficient-curve MSE, then the
+    d-1 ilr coordinates of the compositional coefficient.
+    """
     rng = np.random.default_rng([config.seed, rep])
     n = config.n_units
     grid = np.linspace(0.0, 1.0, config.grid_size)
@@ -188,7 +200,7 @@ def _replicate(config: SimConfig, weights: SpatialWeights, rep: int):
     beta_hat = np.interp(eval_pts, grid, res.beta_t_hat)
     mse_beta_t = float(np.mean((beta_hat - true_beta_t(eval_pts)) ** 2))
 
-    return res.rho_hat, float(res.beta_scalar_hat[0]), mse_beta_t, tuple(res.theta_hat)
+    return (res.rho_hat, float(res.beta_scalar_hat[0]), mse_beta_t, *res.theta_hat)
 
 
 def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimReport:
@@ -211,28 +223,21 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimReport:
         with ProcessPoolExecutor(max_workers=min(workers, config.n_reps)) as pool:
             records = list(pool.map(task, reps, chunksize=math.ceil(config.n_reps / workers)))
 
-    rho_hats = np.array([r[0] for r in records])
-    beta_hats = np.array([r[1] for r in records])
-    mses = np.array([r[2] for r in records])
-    thetas = np.array([r[3] for r in records])
-
-    theta_mean = thetas.mean(axis=0)
-    comp_mean = geometry.ilr_inv(theta_mean)
-    d = comp_mean.size
-    sstd = float(np.sqrt(np.sum(np.var(thetas, axis=0, ddof=0)) / (d - 1)))
-
+    rows = np.array(records)
+    mean, var = rows.mean(axis=0), rows.var(axis=0)
+    comp_mean = geometry.ilr_inv(mean[3:])
     return SimReport(
         config=config,
         n_reps=config.n_reps,
-        bias_rho=float(rho_hats.mean() - config.rho_true),
-        std_rho=float(rho_hats.std(ddof=0)),
-        bias_beta_scalar=float(beta_hats.mean() - TRUE_SCALAR_COEF),
-        std_beta_scalar=float(beta_hats.std(ddof=0)),
-        mean_mse_beta_t=float(mses.mean()),
-        std_mse_beta_t=float(mses.std(ddof=0)),
+        bias_rho=float(mean[0] - config.rho_true),
+        std_rho=float(np.sqrt(var[0])),
+        bias_beta_scalar=float(mean[1] - TRUE_SCALAR_COEF),
+        std_beta_scalar=float(np.sqrt(var[1])),
+        mean_mse_beta_t=float(mean[2]),
+        std_mse_beta_t=float(np.sqrt(var[2])),
         comp_mean=comp_mean,
         comp_biases=comp_mean - TRUE_COMP_COEF,
-        sstd_comp=sstd,
+        sstd_comp=float(np.sqrt(var[3:].mean())),  # total ilr variance / (d-1)
         elapsed_seconds=time.perf_counter() - t0,
     )
 

@@ -237,6 +237,10 @@ def morans_i(values, w) -> MoranReport:
     two-sided normal approximation.
     """
     x = np.asarray(values, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"values have {bad.size} non-finite entries, at units "
+                         f"{bad[:10].tolist()}{' ...' if bad.size > 10 else ''}")
     w = validate_weights(w)
     n = x.size
     if w.shape[0] != n:

@@ -16,6 +16,8 @@ from mixsar.functional import (
     smooth_curves,
     trapezoid_weights,
 )
+from mixsar.model import fit
+from mixsar.spatial import rook_lattice
 
 RNG = np.random.default_rng(7)
 
@@ -96,6 +98,19 @@ def test_smooth_rejects_bad_args():
         smooth_curves(raw, bandwidth=0.0)
     with pytest.raises(ValueError):
         smooth_curves(raw, bandwidth=0.1, grid_size=1)
+    # NaN emptied every kernel window and fell back to nearest-observation
+    # interpolation; 2.5 became 2 grid points
+    for bandwidth in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            smooth_curves(raw, bandwidth=bandwidth)
+    with pytest.raises(ValueError, match="grid_size must be an integer >= 2, got 2.5"):
+        smooth_curves(raw, bandwidth=0.1, grid_size=2.5)
+    assert smooth_curves(raw, bandwidth=0.6, grid_size=np.int64(4)).n_points == 4
+    rng = np.random.default_rng(15)
+    times = np.sort(rng.uniform(0.0, 1.0, 15))
+    with pytest.raises(ValueError, match="bandwidth must be positive and finite, got nan"):
+        fit(rng.normal(size=16), RawCurveObservations(times, rng.normal(size=(16, 15))),
+            weights=rook_lattice(4, 4), bandwidth=np.nan)
     with pytest.raises(ValueError):
         RawCurveObservations(np.array([0.0, 0.2]), np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ValueError):

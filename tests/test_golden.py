@@ -1,9 +1,11 @@
-"""Golden outputs: ``fit()`` on three fixed seeds must reproduce recorded estimates.
+"""Golden outputs: ``fit()`` on three fixed seeds and two Monte Carlo settings
+must reproduce recorded estimates.
 
-The literals were recorded when Wald errors still came from a central-difference
-Hessian. Estimates are compared at rtol 1e-8. Standard errors are compared at
-rtol 1e-4: the recorded numeric values move by about 1.3e-5 relative when y
-changes by 1e-16, and the closed-form Hessian differs from them by less.
+The fit literals were recorded when Wald errors still came from a
+central-difference Hessian. Estimates are compared at rtol 1e-8. Standard
+errors are compared at rtol 1e-4: the recorded numeric values move by about
+1.3e-5 relative when y changes by 1e-16, and the closed-form Hessian differs
+from them by less.
 """
 
 import numpy as np
@@ -18,15 +20,19 @@ from mixsar.simulation import (
     SCALAR_SD,
     TRUE_COMP_COEF,
     TRUE_SCALAR_COEF,
+    SimConfig,
     gen_composition,
     gen_functional,
     gen_response,
+    report_csv_fields,
+    run_monte_carlo,
     true_beta_t,
 )
 from mixsar.spatial import knn_inverse_distance, rook_lattice
 
 ESTIMATE_RTOL = 1e-8
 SE_RTOL = 1e-4
+REPORT_RTOL = 1e-5
 
 
 def scalar_case():
@@ -123,3 +129,43 @@ def test_fit_reproduces_golden_estimates(name):
     np.testing.assert_allclose(res.delta_hat, expected["delta_hat"], rtol=ESTIMATE_RTOL)
     np.testing.assert_allclose(res.sigma2_hat, expected["sigma2_hat"], rtol=ESTIMATE_RTOL)
     np.testing.assert_allclose(res.std_errors, expected["std_errors"], rtol=SE_RTOL)
+
+
+# Estimated report_csv_fields of run_monte_carlo(SimConfig(rows, cols, 0.4, 1.1, reps, seed)).
+GOLDEN_REPORTS = {
+    (6, 8, 6, 5): {
+        "bias_rho": -0.05307240796937113, "std_rho": 0.04974536724350386,
+        "bias_beta_scalar": 0.0492585356999371, "std_beta_scalar": 0.21218829236617648,
+        "mean_mse_beta_t": 0.32932004993926084, "std_mse_beta_t": 0.08255885597072005,
+        "sstd_comp": 0.08441804470616579,
+        "bias_comp_1": 0.005602446130346717, "mean_comp_1": 0.45004689057479114,
+        "bias_comp_2": -0.009139501931426347, "mean_comp_2": 0.21308272029079586,
+        "bias_comp_3": 0.0035370558010796582, "mean_comp_3": 0.336870389134413,
+    },
+    (10, 15, 8, 21): {
+        "bias_rho": -0.01777988430103472, "std_rho": 0.08284563081568888,
+        "bias_beta_scalar": -0.06419106329115576, "std_beta_scalar": 0.09077845074527498,
+        "mean_mse_beta_t": 0.0916374452517627, "std_mse_beta_t": 0.0235848244771248,
+        "sstd_comp": 0.044552648653182744,
+        "bias_comp_1": -0.006529575889338557, "mean_comp_1": 0.43791486855510586,
+        "bias_comp_2": 0.0004772703585707583, "mean_comp_2": 0.22269949258079297,
+        "bias_comp_3": 0.00605230553076791, "mean_comp_3": 0.3393856388641012,
+    },
+}
+
+
+@pytest.mark.parametrize("setting", sorted(GOLDEN_REPORTS))
+def test_monte_carlo_reproduces_golden_report(setting):
+    """The study's report on two fixed settings, compared at rtol 1e-5.
+
+    The literals were recorded under OpenBLAS's default thread count. Under
+    ``OPENBLAS_NUM_THREADS=1`` the same reports differ by up to 4.6e-7 relative
+    (1.3e-9 absolute), because threaded BLAS sums in a different order, so a
+    tighter tolerance would pin the thread count rather than the estimator.
+    """
+    rows, cols, reps, seed = setting
+    fields = report_csv_fields(run_monte_carlo(SimConfig(rows, cols, 0.4, 1.1, reps, seed)))
+    assert (fields["n_rows"], fields["n_cols"], fields["n_reps"], fields["seed"]) == setting
+    expected = GOLDEN_REPORTS[setting]
+    np.testing.assert_allclose([fields[k] for k in expected], list(expected.values()),
+                               rtol=REPORT_RTOL)

@@ -277,6 +277,18 @@ def test_config_validation():
         SimConfig(10, 15, 0.4, 1.1, 10, 1, pve=1.2)
     with pytest.raises(ValueError):
         SimConfig(10, 15, 0.4, 1.1, 10, -1)
+    # NaN slipped past the comparisons, a negative noise scale ran, and a
+    # fractional count or seed failed inside numpy
+    bad = [("alpha_decay", np.nan), ("alpha_decay", np.inf), ("noise_scale", np.nan),
+           ("noise_scale", np.inf), ("noise_scale", -1.0), ("n_rows", 2.5), ("n_cols", 2.5),
+           ("n_reps", 2.5), ("grid_size", 2.5), ("seed", 1.5)]
+    for name, value in bad:
+        args = dict(n_rows=10, n_cols=15, rho_true=0.4, alpha_decay=1.1, n_reps=10, seed=1)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SimConfig(**{**args, name: value})
+    # Python and numpy integers pass, as does noiseless data
+    SimConfig(np.int64(10), np.int32(15), 0.4, 1.1, np.int64(10), np.uint8(1),
+              noise_scale=0.0, grid_size=np.int64(50))
 
 
 def test_report_emission_shapes():

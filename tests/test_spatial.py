@@ -563,6 +563,18 @@ def test_moran_smooth_surface_positive_and_permutation_shrinks():
     assert abs(perm.statistic - perm.expectation) < abs(smooth.statistic - smooth.expectation)
 
 
+def test_moran_rejects_non_finite_values():
+    # NaN used to give a NaN statistic, z-score and p-value without complaint
+    w = rook_lattice(3, 4)
+    vals = np.arange(12.0)
+    vals[[3, 7]] = [np.nan, np.inf]
+    with pytest.raises(ValueError, match=r"2 non-finite entries, at units \[3, 7\]$"):
+        morans_i(vals, w)
+    with pytest.raises(ValueError,
+                       match=r"12 non-finite entries, at units \[0, 1, .*, 9\] \.\.\.$"):
+        morans_i(np.full(12, np.nan), w)
+
+
 def test_moran_rejects_constant_values():
     with pytest.raises(ValueError):
         morans_i(np.ones(5), random_weights(5))
