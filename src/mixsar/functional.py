@@ -137,7 +137,7 @@ def l2_inner(f, g, weights):
     w = np.asarray(weights, dtype=float)
     if f.shape[-1] != g.shape[-1] or f.shape[-1] != w.size:
         raise ValueError("f, g, and weights must have matching lengths")
-    out = np.sum(w * f * g, axis=-1)
+    out = np.sum(w * (f * g), axis=-1)  # f * g == g * f exactly, so symmetric
     return float(out) if out.ndim == 0 else out
 
 

@@ -8,9 +8,9 @@ have closed forms, leaving a one-dimensional profile objective
 
     -(n/2) ln(sigma2_hat(rho)) + ln|I - rho W|
 
-maximized by a coarse grid scan followed by golden-section refinement. Wald
-standard errors come from the closed-form observed Hessian of the full
-log-likelihood (Anselin 1988; Lee 2004). The functional coefficient curve is
+maximized by a grid scan and bisection on its score, with ln|I - rho W| from
+W's eigenvalues (Ord 1975). Wald standard errors come from the closed-form
+observed Hessian (Anselin 1988; Lee 2004). The functional coefficient curve is
 rebuilt from the score coefficients on the retained eigenfunctions; the
 compositional coefficient is the inverse ilr of its coordinate block.
 """
@@ -40,7 +40,6 @@ from .spatial import MoranReport, SpatialWeights, log_det_system, morans_i, solv
 
 RHO_BOUND = 0.999
 _RHO_GRID_POINTS = 201
-_GOLDEN_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,11 +105,10 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
                     scalar_labels=None) -> MixedDesign:
     """Stack [intercept | FPC scores | ilr coordinates | scalars] into Z.
 
-    ``weights`` is a :class:`~mixsar.spatial.SpatialWeights`, whose memo of
-    log-determinants the design then shares, or a row-stochastic ``(n, n)``
-    array with no isolated units, wrapped in a fresh one. Verifies consistent
-    row counts and that every block adds full column rank; a deficient block
-    is named in the error.
+    ``weights`` is a :class:`~mixsar.spatial.SpatialWeights`, whose eigenvalues
+    the design then shares, or a row-stochastic ``(n, n)`` array with no
+    isolated units, wrapped in a fresh one. Verifies consistent row counts and
+    that every block adds full column rank; a deficient block is named.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = y.size
@@ -164,12 +162,12 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
 
 
 class _Profile:
-    """The profile likelihood of one design, O(1) per rho.
+    """The profile likelihood of one design, O(n) per rho.
 
     Least squares of y and of Wy on Z, done once, give delta(rho) =
-    d_y - rho d_w; the residual quadratic ||e_y - rho e_w||^2 gives sigma2(rho).
-    It keeps n and the weights, not the design, so a design caching it forms
-    no cycle.
+    d_y - rho d_w and residuals e_y - rho e_w, whose mean square, sigma2(rho),
+    stays >= 0 even where a noise-free fit drives it to zero. It keeps n and
+    the weights, not the design, so a design caching it forms no cycle.
     """
 
     def __init__(self, y: np.ndarray, z: np.ndarray, weights: SpatialWeights):
@@ -178,23 +176,24 @@ class _Profile:
         self.wy = weights.matrix @ y
         self.d_y = _solve_ls(z, y)
         self.d_w = _solve_ls(z, self.wy)
-        e_y = y - z @ self.d_y
-        e_w = self.wy - z @ self.d_w
-        self.eyy = float(e_y @ e_y)
-        self.eyw = float(e_y @ e_w)
-        self.eww = float(e_w @ e_w)
+        self.e_y = y - z @ self.d_y
+        self.e_w = self.wy - z @ self.d_w
 
     def delta(self, rho: float) -> np.ndarray:
         return self.d_y - rho * self.d_w
 
+    def residuals(self, rho: float) -> np.ndarray:
+        return self.e_y - rho * self.e_w
+
     def sigma2(self, rho: float) -> float:
-        return (self.eyy - 2.0 * rho * self.eyw + rho * rho * self.eww) / self.n
+        e = self.residuals(rho)
+        return float(e @ e) / self.n
 
     def loglik(self, rho: float) -> float:
         s2 = self.sigma2(rho)
         if s2 <= 0.0 or not np.isfinite(s2):
             raise NumericalError(f"residual variance degenerate at rho={rho}")
-        return -0.5 * self.n * np.log(s2) + self.weights.log_det(rho)
+        return -0.5 * self.n * np.log(s2) + log_det_system(rho, self.weights)
 
 
 def _solve_ls(z: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -239,29 +238,18 @@ def concentrated_loglik(rho: float, design: MixedDesign) -> float:
     return _profile_at(rho, design).loglik(rho)
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def _trace_g(weights: SpatialWeights, rho: float, power: int) -> float:
+    """tr(G^power) for G = (I - rho W)^-1 W, from W's eigenvalues."""
+    lam = weights.eigenvalues
+    return float(np.sum((lam / (1.0 - rho * lam)) ** power).real)
 
 
 def optimize_rho(design: MixedDesign) -> float:
     """Maximize the concentrated log-likelihood over [-0.999, 0.999].
 
-    A 201-point grid locates the basin (guarding against local maxima), then
-    golden-section search shrinks the bracketing interval to width 1e-8.
+    A 201-point grid locates the basin, guarding against local maxima; then
+    bisection on the sign of the score e(rho)'e_w / sigma2(rho) - tr(G) closes
+    the best point's bracket to adjacent floats, unless that point scores higher.
     """
     profile = design._profile
 
@@ -276,9 +264,15 @@ def optimize_rho(design: MixedDesign) -> float:
     if not np.any(np.isfinite(vals)):
         raise NumericalError("concentrated log-likelihood is non-finite on the whole rho grid")
     best = int(np.argmax(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    return float(_golden_section_max(objective, lo, hi))
+    lo, hi = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)])
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        e = profile.residuals(mid)
+        # the score times sigma2(mid), whose sign survives sigma2 -> 0
+        ascends = e @ profile.e_w - profile.sigma2(mid) * _trace_g(profile.weights, mid, 1) > 0
+        lo, hi = (mid, hi) if ascends else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return float(grid[best]) if objective(mid) < vals[best] else mid
 
 
 def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float = 0.7,
@@ -307,8 +301,8 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
         Numerical covariates.
     weights : array_like, shape (n, n), or SpatialWeights
         Row-stochastic spatial weights, no isolated units. Fits that share one
-        :class:`~mixsar.spatial.SpatialWeights` compute each ln|I - rho W| once;
-        an array is wrapped in a fresh one for this fit.
+        :class:`~mixsar.spatial.SpatialWeights` decompose W once; an array is
+        wrapped in a fresh one for this fit.
     pve : float
         Share of the total FPCA eigenvalue mass the retained components must
         reach, in (0, 1].
@@ -417,7 +411,7 @@ def wald_std_errors(design: MixedDesign, result: FitResult):
     The Hessian of the full log-likelihood at (rho, delta, sigma2) is taken
     in closed form (Anselin 1988; Lee 2004). Beyond cross products of
     [Wy | Z] and the residual e, it needs tr(G^2) with G = (I - rho W)^-1 W,
-    which costs one dense solve. Returns (std_errors, p_values) ordered
+    taken from W's eigenvalues. Returns (std_errors, p_values) ordered
     [rho, *delta, sigma2], or None with a warning when the Hessian is not
     negative definite there.
     """
@@ -425,12 +419,11 @@ def wald_std_errors(design: MixedDesign, result: FitResult):
     params = np.concatenate([[rho], delta, [s2]])
     wy = design.W @ design.y
     e = design.y - rho * wy - design.Z @ delta
-    g = solve_system(rho, design.W, design.W)
     x = np.column_stack([wy, design.Z])  # de/d(rho, delta) = -[Wy | Z]
 
     hess = np.empty((params.size, params.size))
     hess[:-1, :-1] = -(x.T @ x) / s2
-    hess[0, 0] -= np.sum(g * g.T)  # tr(G^2)
+    hess[0, 0] -= _trace_g(design.weights, rho, 2)
     hess[:-1, -1] = hess[-1, :-1] = -(x.T @ e) / s2**2
     hess[-1, -1] = design.n / (2.0 * s2**2) - (e @ e) / s2**3
 

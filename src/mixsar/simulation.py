@@ -14,13 +14,12 @@ coefficient curve ``0.3 phi_1 + sum_{j>=2} 4 (-1)^(j+1) j^-2 phi_j``, true
 compositional coefficient (4/9, 2/9, 1/3), and true scalar slope 1.
 
 W is built once per setting, as one :class:`~mixsar.spatial.SpatialWeights`
-that the replications' fits share, so each ln|I - rho W| is computed once per
-setting, or once per worker when ``workers > 1`` gives each worker one block
-of replications. Each replication derives an independent generator from
-``(seed, rep)``, so results are bit-identical for any worker count and
-aggregation happens in replication order. Reported spreads are population
-(ddof=0) standard deviations, which makes a single-replication report show
-zeros.
+that the replications' fits share; its eigenvalues, which give each
+ln|I - rho W|, are computed before any worker starts and travel with W. Each
+replication derives an independent generator from ``(seed, rep)``, so results
+are bit-identical for any worker count and aggregation happens in replication
+order. Reported spreads are population (ddof=0) standard deviations, which
+makes a single-replication report show zeros.
 """
 
 from __future__ import annotations
@@ -215,6 +214,7 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimReport:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     t0 = time.perf_counter()
     weights = SpatialWeights(rook_lattice(config.n_rows, config.n_cols))
+    weights.eigenvalues  # decompose W here, once: the workers' copies carry the result
     reps = range(config.n_reps)
     if workers == 1:
         records = [_replicate(config, weights, r) for r in reps]

@@ -163,10 +163,12 @@ def test_l2_inner_cosine_orthonormality():
 
 
 def test_l2_inner_symmetry_and_length_check():
+    rng = np.random.default_rng(165)
     grid = np.linspace(0, 1, 30)
     w = trapezoid_weights(grid)
-    f, g = RNG.normal(size=30), RNG.normal(size=30)
-    assert l2_inner(f, g, w) == l2_inner(g, f, w)
+    for _ in range(200):
+        f, g = rng.normal(size=30), rng.normal(size=30)
+        assert l2_inner(f, g, w) == l2_inner(g, f, w)
     with pytest.raises(ValueError):
         l2_inner(f, g[:-1], w)
 

@@ -1,16 +1,24 @@
 """Golden outputs: ``fit()`` on three fixed seeds and two Monte Carlo settings
 must reproduce recorded estimates.
 
-The fit literals were recorded when Wald errors still came from a
-central-difference Hessian. Estimates are compared at rtol 1e-8. Standard
-errors are compared at rtol 1e-4: the recorded numeric values move by about
-1.3e-5 relative when y changes by 1e-16, and the closed-form Hessian differs
-from them by less.
+The fit literals were recorded with rho_hat the root of the profile score,
+found by bisection to adjacent floats, and the closed-form Wald Hessian.
+``test_golden_rho_is_the_root_of_the_dense_score`` checks each recorded rho_hat
+against an independent bisection on the score built from dense solves.
+Estimates are compared at rtol 1e-8 and standard errors at rtol 1e-4, which
+leave room for another BLAS or LAPACK build.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixsar
 from mixsar.functional import RawCurveObservations
 from mixsar.model import fit
 from mixsar.simulation import (
@@ -77,46 +85,47 @@ def raw_curve_case():
 
 GOLDEN = {
     "scalar": (scalar_case, {
-        "rho_hat": 0.3182187142657172,
+        "rho_hat": 0.31821871539067614,
         "delta_hat": [
-            0.401893495823708, 1.0355155175074038, -0.6012723596643718
+            0.40189349551531506, 1.035515517344974, -0.6012723595224666
         ],
         "std_errors": [
-            0.11820335112221919, 0.09460891479645893, 0.09833387309222852,
-            0.08415071808429896, 0.06812769700126459
+            0.11820333227464326, 0.09460891968067034, 0.09833387685303216,
+            0.0841507098428134, 0.06812769603115876
         ],
-        "sigma2_hat": 0.3102906047210899,
+        "sigma2_hat": 0.31029060464948405,
     }),
     "mixed": (mixed_case, {
-        "rho_hat": 0.2771999812657844,
+        "rho_hat": 0.27719999142565177,
         "delta_hat": [
-            -0.07179593306240724, -0.2906986716385675, 0.8930547547519301,
-            0.7662222354411047, 0.2644733340914511, 0.5609481989514024, -0.5207822609363694,
-            0.19285095106768219, -0.5620453995122153, 0.45596043587400564,
-            -0.042770562672388414, 0.7904077900857702
+            -0.07179593718271056, -0.2906986710554942, 0.8930547517630304,
+            0.7662222344411943, 0.26447333324311034, 0.5609481987444493,
+            -0.5207822617430928, 0.19285095080246176, -0.562045394206474,
+            0.45596043779584317, -0.04277056081676264, 0.7904077926078665
         ],
         "std_errors": [
-            0.12743304548371598, 0.3834133146830512, 0.10682369205840389,
-            0.1856837860049001, 0.22172387959240744, 0.26165909798082465,
-            0.2946300590968358, 0.3205072749052097, 0.3303735206235152, 0.3509280679384831,
-            0.12881671303447054, 0.14547107128840214, 0.3152175989563869, 0.1553476930319844
+            0.12743313975505627, 0.38341831967414314, 0.10682369695330347,
+            0.18568392799548755, 0.2217240473749023, 0.2616594916204783,
+            0.2946329988049739, 0.32050642158250564, 0.33037327324190907,
+            0.3509337186676716, 0.1288170133746787, 0.14547112309364338,
+            0.31522101292752275, 0.15534768428755658
         ],
-        "sigma2_hat": 0.8722987713787345,
+        "sigma2_hat": 0.8722987698773719,
     }),
     "raw_curves": (raw_curve_case, {
-        "rho_hat": 0.13253704705737543,
+        "rho_hat": 0.13253705216805767,
         "delta_hat": [
-            0.0963029973370035, -0.010806028369393372, 0.005997653719271893,
-            0.006889600970309086, -0.007096121634000289, -0.013196985441253454,
-            -0.011825868717925712, -0.012970743698565157, 1.1557046021572477
+            0.09630298820457364, -0.010806028369971563, 0.005997653726621203,
+            0.006889601000098239, -0.0070961215788739405, -0.013196985410977368,
+            -0.01182586863690871, -0.012970743706849324, 1.1557046034150653
         ],
         "std_errors": [
-            0.1814954848611657, 0.4432138619431316, 0.006805240408324074,
-            0.007228990135296916, 0.00863956898470334, 0.009344035035627231,
-            0.010116934915843853, 0.011359428464238397, 0.012653652384847232,
-            0.27130943215462816, 0.1865960878995789
+            0.18149589679507755, 0.44321578692652447, 0.006805240565857502,
+            0.007228990142627617, 0.008639570084864956, 0.00934403739697545,
+            0.010116936864676287, 0.01135942930487582, 0.012653653869620038,
+            0.27131037138623854, 0.1865960031845267
         ],
-        "sigma2_hat": 1.020377223797878,
+        "sigma2_hat": 1.0203772234993262,
     }),
 }
 
@@ -129,6 +138,42 @@ def test_fit_reproduces_golden_estimates(name):
     np.testing.assert_allclose(res.delta_hat, expected["delta_hat"], rtol=ESTIMATE_RTOL)
     np.testing.assert_allclose(res.sigma2_hat, expected["sigma2_hat"], rtol=ESTIMATE_RTOL)
     np.testing.assert_allclose(res.std_errors, expected["std_errors"], rtol=SE_RTOL)
+
+
+def dense_score_root(case) -> float:
+    """The rho in (-0.9, 0.9) where the profile score changes sign.
+
+    The score is n e(rho)'e_w / ||e(rho)||^2 - tr((I - rho W)^-1 W), with the
+    trace from a dense solve. The residuals e(rho) = e_y - rho e_w are linear in
+    rho, so two pinned-rho fits give e_y and e_w; neither W's spectrum nor the
+    rho search is used. Bisection runs until the ends are adjacent floats.
+    """
+    w = case["weights"]
+    n = w.shape[0]
+    options = {k: v for k, v in case.items() if k != "std_errors"}
+    e_y = fit(**options, rho=0.0).residuals
+    e_w = (e_y - fit(**options, rho=0.5).residuals) / 0.5
+
+    def score(rho):
+        e = e_y - rho * e_w
+        return n * (e @ e_w) / (e @ e) - np.trace(np.linalg.solve(np.eye(n) - rho * w, w))
+
+    lo, hi = -0.9, 0.9
+    assert score(lo) > 0.0 > score(hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if score(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_rho_is_the_root_of_the_dense_score(name):
+    build, expected = GOLDEN[name]
+    assert expected["rho_hat"] == pytest.approx(dense_score_root(build()), rel=1e-12, abs=0)
 
 
 # Estimated report_csv_fields of run_monte_carlo(SimConfig(rows, cols, 0.4, 1.1, reps, seed)).
@@ -158,10 +203,9 @@ GOLDEN_REPORTS = {
 def test_monte_carlo_reproduces_golden_report(setting):
     """The study's report on two fixed settings, compared at rtol 1e-5.
 
-    The literals were recorded under OpenBLAS's default thread count. Under
-    ``OPENBLAS_NUM_THREADS=1`` the same reports differ by up to 4.6e-7 relative
-    (1.3e-9 absolute), because threaded BLAS sums in a different order, so a
-    tighter tolerance would pin the thread count rather than the estimator.
+    The literals were recorded when a golden-section search ended each rho
+    search in a 1e-8 bracket; finding rho_hat as the score's root moved the
+    reports by up to 1.5e-7 relative (4.1e-9 absolute).
     """
     rows, cols, reps, seed = setting
     fields = report_csv_fields(run_monte_carlo(SimConfig(rows, cols, 0.4, 1.1, reps, seed)))
@@ -169,3 +213,30 @@ def test_monte_carlo_reproduces_golden_report(setting):
     expected = GOLDEN_REPORTS[setting]
     np.testing.assert_allclose([fields[k] for k in expected], list(expected.values()),
                                rtol=REPORT_RTOL)
+
+
+def reproducible_outputs() -> dict[str, list[float]]:
+    """rho_hat, delta_hat and sigma2_hat of the golden fits, and every
+    report_csv_fields value of the 10x15, 8-replication golden study."""
+    out = {}
+    for name, (build, _) in sorted(GOLDEN.items()):
+        res = fit(**{**build(), "std_errors": False})
+        out[name] = [res.rho_hat, *res.delta_hat.tolist(), res.sigma2_hat]
+    report = run_monte_carlo(SimConfig(10, 15, 0.4, 1.1, 8, 21))
+    out["report"] = [float(v) for v in report_csv_fields(report).values()]
+    return out
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    """A single-threaded BLAS sums in another order; the estimates must not care."""
+    paths = [str(Path(mixsar.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")])}
+    code = "import json, test_golden; print(json.dumps(test_golden.reproducible_outputs()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    single = json.loads(proc.stdout)
+    here = reproducible_outputs()
+    assert single.keys() == here.keys()
+    for key, values in here.items():
+        np.testing.assert_allclose(single[key], values, rtol=1e-10, atol=0, err_msg=key)

@@ -201,6 +201,41 @@ def test_optimize_rho_zero_truth_unbiased_ballpark():
     assert abs(optimize_rho(d)) < 3 * 0.056
 
 
+def dense_profile(rho, design):
+    """The full log-likelihood at rho with delta and sigma2 profiled out; its
+    log-determinant is the dense one."""
+    return full_loglik(rho, delta_hat(rho, design), sigma2_hat(rho, design), design)
+
+
+def test_optimize_rho_keeps_an_optimum_at_the_grid_endpoint():
+    y, x, w, _ = sar_instance(n_rows=6, n_cols=6, rho=-0.9999, rng=np.random.default_rng(0))
+    d = make_design(y, x, w)
+    rho_hat = optimize_rho(d)
+    assert abs(rho_hat + model.RHO_BOUND) <= 1e-15
+    # the profile falls from the boundary inward
+    assert dense_profile(-model.RHO_BOUND, d) > dense_profile(-model.RHO_BOUND + 1e-6, d)
+
+
+def test_optimize_rho_keeps_the_grid_point_when_the_root_scores_lower(monkeypatch):
+    y, x, w, _ = sar_instance(n_rows=5, n_cols=6, rho=0.4, rng=np.random.default_rng(2))
+    d = make_design(y, x, w)
+    grid = np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS)
+    best = grid[int(np.argmax([concentrated_loglik(r, d) for r in grid]))]
+    # a score that reads negative everywhere drives the bisection to the bracket's left end
+    monkeypatch.setattr(model, "_trace_g", lambda weights, rho, power: np.inf)
+    assert optimize_rho(d) == best
+
+
+def test_optimize_rho_finds_an_interior_optimum_near_the_lower_bound():
+    y, x, w, _ = sar_instance(n_rows=6, n_cols=6, rho=-0.998, rng=np.random.default_rng(3))
+    d = make_design(y, x, w)
+    rho_hat = optimize_rho(d)
+    assert -model.RHO_BOUND < rho_hat < -0.998  # inside the grid's first bracket
+    best = dense_profile(rho_hat, d)
+    for rho in [*np.linspace(-model.RHO_BOUND, -0.98, 401), rho_hat - 1e-7, rho_hat + 1e-7]:
+        assert best >= dense_profile(rho, d)
+
+
 # -- end-to-end fit -----------------------------------------------------------------------
 
 def mixed_inputs(n_rows=5, n_cols=6, rho=0.4, seed=11):
@@ -374,26 +409,49 @@ def test_least_squares_run_once_per_target_per_design(monkeypatch):
     assert len(calls) == 2
 
 
+def count_spectra(monkeypatch):
+    """Count the eigendecompositions of W from here on; returns the list of matrices."""
+    calls = []
+    decompose = spatial._spectrum
+
+    def counted(w):
+        calls.append(w)
+        return decompose(w)
+
+    monkeypatch.setattr(spatial, "_spectrum", counted)
+    return calls
+
+
 def test_fits_sharing_spatial_weights_match_fits_on_the_array(monkeypatch):
     w = rook_lattice(6, 7)
     shared = SpatialWeights(w)
-    misses = []
-    dense = spatial.log_det_system
-
-    def counted(rho, w):
-        misses.append(rho)
-        return dense(rho, w)
-
-    monkeypatch.setattr(spatial, "log_det_system", counted)
+    calls = count_spectra(monkeypatch)
     for seed in (21, 22):
         y, x, _, _ = sar_instance(n_rows=6, n_cols=7, rng=np.random.default_rng(seed))
         plain = fit(y, scalars=x, weights=w, std_errors=True)
-        misses.clear()
+        calls.clear()
         res = fit(y, scalars=x, weights=shared, std_errors=True)
         for name in ("rho_hat", "delta_hat", "sigma2_hat", "std_errors", "loglik", "fitted"):
             np.testing.assert_array_equal(getattr(res, name), getattr(plain, name), err_msg=name)
-        # the first shared fit fills the grid; the second is served from the memo
-        assert (len(misses) > model._RHO_GRID_POINTS) == (seed == 21)
+        # the first shared fit decomposes W; the second reuses its eigenvalues
+        assert len(calls) == (seed == 21)
+
+
+@pytest.mark.parametrize("kind", ["rook", "knn"])
+def test_pinned_rho_fit_computes_no_spectrum(kind, monkeypatch):
+    rng = np.random.default_rng(3)
+    if kind == "rook":
+        w = rook_lattice(5, 6)
+    else:
+        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(30, 2)), k=4, cutoff=100.0)
+    x = rng.normal(size=(30, 2))
+    y = np.linalg.solve(np.eye(30) - 0.4 * w, x @ [1.0, -0.7] + 0.5 * rng.normal(size=30))
+    calls = count_spectra(monkeypatch)
+    for rho in (0.4, 0.399, 0.401):
+        fit(y, scalars=x, weights=w, rho=rho)
+    assert calls == []
+    fit(y, scalars=x, weights=w, rho=0.4, std_errors=True)  # tr(G^2) needs the spectrum
+    assert len(calls) == 1
 
 
 def test_assemble_design_takes_spatial_weights_as_they_are():
@@ -487,14 +545,18 @@ def central_difference_hessian(design, params):
 # the reference's rounding noise (~1e-6 per entry) moves its SEs by ~1e-4.
 @pytest.mark.parametrize("kind, rho", [
     ("rook", None), ("rook", 0.95), ("rook", -0.9), ("knn", None), ("knn", 0.95),
+    ("symmetric_support", None), ("symmetric_support", 0.95),
 ])
 def test_wald_closed_form_matches_central_differences(kind, rho):
     rng = np.random.default_rng(41)
     n = 36
     if kind == "rook":
         w = rook_lattice(6, 6)
-    else:  # asymmetric weights: tr(G^2) must not assume G symmetric
+    elif kind == "knn":  # asymmetric weights: tr(G^2) must not assume G symmetric
         w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(n, 2)), k=4, cutoff=100.0)
+    else:  # symmetric support, but W is not similar to a symmetric matrix
+        adjacent = rook_lattice(6, 6) > 0
+        w = spatial.row_normalize(adjacent * rng.uniform(0.5, 1.5, adjacent.shape))
     x = rng.normal(size=(n, 2))
     y = np.linalg.solve(np.eye(n) - 0.4 * w, 0.5 + x @ [1.0, -0.7] + 0.5 * rng.normal(size=n))
     res = fit(y, scalars=x, weights=w, rho=rho, std_errors=True)

@@ -167,32 +167,26 @@ def test_gen_response_names_non_finite_weights():
 
 # -- Monte Carlo driver --------------------------------------------------------------------
 
-def test_monte_carlo_reuses_log_dets_across_replications(monkeypatch):
-    """W is built once per setting, so later fits reuse the grid's log-determinants."""
-    per_fit, rhos = [], []
-    dense = spatial.log_det_system
+def test_monte_carlo_decomposes_w_once_per_setting(monkeypatch):
+    """W is built once per setting, and every replication's fit shares its eigenvalues."""
+    spectra, shared = [], []
+    decompose = spatial._spectrum
 
-    def counted(rho, w):
-        rhos.append(float(rho))
-        return dense(rho, w)
+    def counted(w):
+        spectra.append(w)
+        return decompose(w)
 
-    def counted_fit(*args, **kwargs):
-        before = len(rhos)
-        res = model.fit(*args, **kwargs)
-        per_fit.append(rhos[before:])
-        return res
+    def recorded_fit(*args, weights, **kwargs):
+        shared.append(weights)
+        return model.fit(*args, weights=weights, **kwargs)
 
-    # the memo's misses and full_loglik's direct call both count
-    monkeypatch.setattr(spatial, "log_det_system", counted)
-    monkeypatch.setattr(model, "log_det_system", counted)
-    monkeypatch.setattr(simulation, "fit", counted_fit)
+    monkeypatch.setattr(spatial, "_spectrum", counted)
+    monkeypatch.setattr(simulation, "fit", recorded_fit)
     run_monte_carlo(SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1, n_reps=3,
                               seed=11))
-    assert len(per_fit) == 3
-    grid = np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS)
-    assert set(grid.tolist()) <= set(per_fit[0])
-    assert all(len(calls) < model._RHO_GRID_POINTS for calls in per_fit[1:])
-    assert not set(grid.tolist()) & set(per_fit[1] + per_fit[2])
+    assert len(spectra) == 1
+    assert len(shared) == 3 and all(w is shared[0] for w in shared)
+    assert shared[0].matrix is spectra[0]
 
 
 def test_single_replication_report_has_zero_spreads():
@@ -227,26 +221,21 @@ def test_run_monte_carlo_rejects_bad_workers(workers):
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers see the patched log_det_system only when forked")
-def test_monte_carlo_builds_grid_once_per_worker(monkeypatch, tmp_path):
-    """Each worker receives one block of replications, so one SpatialWeights."""
-    log = tmp_path / "log_dets.txt"
-    dense = spatial.log_det_system
+                    reason="workers see the patched _spectrum only when forked")
+def test_monte_carlo_decomposes_w_once_in_the_parent(monkeypatch, tmp_path):
+    """The workers' copies of W carry its eigenvalues, so no worker decomposes it."""
+    log = tmp_path / "spectra.txt"
+    decompose = spatial._spectrum
 
-    def logged(rho, w):
+    def logged(w):
         with open(log, "a") as f:
-            f.write(f"{os.getpid()} {float(rho)!r}\n")
-        return dense(rho, w)
+            f.write(f"{os.getpid()}\n")
+        return decompose(w)
 
-    monkeypatch.setattr(spatial, "log_det_system", logged)
+    monkeypatch.setattr(spatial, "_spectrum", logged)
     run_monte_carlo(SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1, n_reps=8,
                               seed=11), workers=2)
-    calls = [(int(pid), float(rho)) for pid, rho in map(str.split, log.read_text().splitlines())]
-    grid = set(np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS).tolist())
-    on_grid = [call for call in calls if call[1] in grid]
-    pids = {pid for pid, _ in calls}
-    assert os.getpid() not in pids
-    assert len(on_grid) == len(set(on_grid)) == len(grid) * len(pids)
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 def test_component_biases_sum_to_zero():

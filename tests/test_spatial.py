@@ -407,6 +407,8 @@ def test_solve_system_and_log_det_reject_rho_out_of_range(rho):
         solve_system(rho, w, np.ones(3))
     with pytest.raises(ValueError, match=r"\|rho\| < 1"):
         log_det_system(rho, w)
+    with pytest.raises(ValueError, match=r"\|rho\| < 1"):
+        log_det_system(rho, SpatialWeights(w))
 
 
 def test_solve_system_singularity_flagged():
@@ -427,50 +429,67 @@ def test_solve_system_lists_at_most_ten_non_finite_weights():
 
 # -- SpatialWeights ----------------------------------------------------------------------
 
-def count_log_dets(monkeypatch):
-    """Count the dense log-determinants computed from here on; returns the rho list."""
+def count_spectra(monkeypatch):
+    """Count the eigendecompositions of W from here on; returns the list of matrices."""
     calls = []
-    dense = spatial.log_det_system
+    decompose = spatial._spectrum
 
-    def counted(rho, w):
-        calls.append(rho)
-        return dense(rho, w)
+    def counted(w):
+        calls.append(w)
+        return decompose(w)
 
-    monkeypatch.setattr(spatial, "log_det_system", counted)
+    monkeypatch.setattr(spatial, "_spectrum", counted)
     return calls
 
 
-def test_spatial_weights_log_det_equals_log_det_system_exactly():
-    w = random_weights(12)
+@pytest.mark.parametrize("kind, routes", [
+    ("rook", ["eigvalsh"]),
+    ("knn", ["eigvals"]),
+    ("symmetric_support", ["eigvalsh", "eigvals"]),
+], ids=["rook", "knn", "symmetric_support"])
+def test_spectral_log_det_matches_dense_on_the_rho_grid(kind, routes, monkeypatch):
+    rng = np.random.default_rng(8)
+    if kind == "rook":
+        w = rook_lattice(12, 15)
+    elif kind == "knn":  # asymmetric great-circle neighbours
+        locations = np.column_stack([rng.uniform(-20, 20, 150), rng.uniform(30, 60, 150)])
+        w = knn_inverse_distance(locations, k=5, cutoff=180.0, metric="greatcircle")
+    else:  # random weights on a lattice's edges: W is not similar to a symmetric matrix
+        adjacent = rook_lattice(6, 8) > 0
+        w = row_normalize(adjacent * rng.uniform(0.5, 1.5, adjacent.shape))
+    used = []
+
+    def logged(name):
+        decompose = getattr(np.linalg, name)
+
+        def call(a):
+            used.append(name)
+            return decompose(a)
+        return call
+
+    for name in ("eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, logged(name))
     sw = SpatialWeights(w)
     grid = np.linspace(-0.999, 0.999, 201)
-    for rho in [*grid[::20], -0.123456789, 0.5, 0.98765, grid[7]]:
-        assert sw.log_det(rho) == log_det_system(rho, w)
-        assert sw.log_det(rho) == log_det_system(rho, w)  # from the memo
+    spectral = [log_det_system(rho, sw) for rho in grid]
+    assert used == routes
+    np.testing.assert_allclose(spectral, [log_det_system(rho, w) for rho in grid],
+                               rtol=0, atol=1e-10)
 
 
-def test_spatial_weights_computes_each_rho_once(monkeypatch):
-    calls = count_log_dets(monkeypatch)
+def test_spatial_weights_computes_its_spectrum_once(monkeypatch):
+    calls = count_spectra(monkeypatch)
     sw = SpatialWeights(rook_lattice(3, 4))
-    first = [sw.log_det(r) for r in (0.1, -0.4, 0.1, 0.7)]
-    assert calls == [0.1, -0.4, 0.7]
-    assert [sw.log_det(r) for r in (0.7, np.float64(0.1), -0.4)] == [first[3], first[0], first[1]]
-    assert len(calls) == 3
-
-
-def test_spatial_weights_memo_stops_growing_at_its_cap(monkeypatch):
-    monkeypatch.setattr(spatial, "_LOG_DET_MEMO_SIZE", 3)
-    calls = count_log_dets(monkeypatch)
-    sw = SpatialWeights(rook_lattice(3, 4))
-    rhos = [0.1, 0.2, 0.3, 0.4, 0.5]
-    for r in rhos:
-        sw.log_det(r)
-    assert len(sw._log_dets) == 3
-    calls.clear()
-    for r in rhos:
-        sw.log_det(r)
-    assert calls == [0.4, 0.5]  # computed again, still not kept
-    assert len(sw._log_dets) == 3
+    assert calls == []
+    first = sw.eigenvalues
+    for rho in (0.1, -0.4, 0.1, 0.7):
+        log_det_system(rho, sw)
+    assert sw.eigenvalues is first
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.5
+    np.testing.assert_allclose(np.sort(first), np.sort(np.linalg.eigvals(sw.matrix).real),
+                               atol=1e-12)
 
 
 def test_spatial_weights_matrix_is_a_read_only_view():
@@ -482,14 +501,21 @@ def test_spatial_weights_matrix_is_a_read_only_view():
         sw.matrix[0, 1] = 0.5
 
 
-def test_spatial_weights_copy_keeps_matrix_read_only_with_a_fresh_memo():
+def test_spatial_weights_copy_keeps_matrix_read_only_and_carries_its_spectrum(monkeypatch):
     sw = SpatialWeights(rook_lattice(3, 3))
-    sw.log_det(0.3)
+    undecomposed = pickle.loads(pickle.dumps(sw))
+    sw.eigenvalues
     copy = pickle.loads(pickle.dumps(sw))
+    calls = count_spectra(monkeypatch)
     np.testing.assert_array_equal(copy.matrix, sw.matrix)
     assert not copy.matrix.flags.writeable
-    assert copy._log_dets == {}
-    assert copy.log_det(0.3) == sw.log_det(0.3)
+    np.testing.assert_array_equal(copy.eigenvalues, sw.eigenvalues)
+    assert not copy.eigenvalues.flags.writeable
+    assert log_det_system(0.3, copy) == log_det_system(0.3, sw)
+    assert calls == []
+    # a copy made before the decomposition has none to carry
+    np.testing.assert_array_equal(undecomposed.eigenvalues, sw.eigenvalues)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bad", [
