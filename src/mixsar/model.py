@@ -8,7 +8,7 @@ have closed forms, leaving a one-dimensional profile objective
 
     -(n/2) ln(sigma2_hat(rho)) + ln|I - rho W|
 
-maximized by a grid scan and bisection on its score, with ln|I - rho W| from
+maximized by a grid scan and safeguarded Newton on its score, with ln|I - rho W| from
 W's eigenvalues (Ord 1975). Wald standard errors come from the closed-form
 observed Hessian (Anselin 1988; Lee 2004). The functional coefficient curve is
 rebuilt from the score coefficients on the retained eigenfunctions; the
@@ -182,18 +182,30 @@ class _Profile:
     def delta(self, rho: float) -> np.ndarray:
         return self.d_y - rho * self.d_w
 
-    def residuals(self, rho: float) -> np.ndarray:
-        return self.e_y - rho * self.e_w
+    def residuals(self, rho):
+        """e_y - rho e_w; for an array of rho, one row per value."""
+        return self.e_y - np.multiply.outer(rho, self.e_w)
 
-    def sigma2(self, rho: float) -> float:
+    def sigma2(self, rho):
+        """Mean square of the residuals; for an array of rho, one value each."""
         e = self.residuals(rho)
-        return float(e @ e) / self.n
+        return np.vecdot(e, e) / self.n
 
-    def loglik(self, rho: float) -> float:
-        s2 = self.sigma2(rho)
-        if s2 <= 0.0 or not np.isfinite(s2):
+    def loglik(self, rho: float, s2: float | None = None) -> float:
+        """The objective at rho; ``s2`` is sigma2(rho) when it is already known."""
+        s2 = self.sigma2(rho) if s2 is None else s2
+        if not 0.0 < s2 < math.inf:
             raise NumericalError(f"residual variance degenerate at rho={rho}")
-        return -0.5 * self.n * np.log(s2) + log_det_system(rho, self.weights)
+        return -0.5 * self.n * math.log(s2) + log_det_system(rho, self.weights)
+
+    def score(self, rho: float) -> tuple[float, float]:
+        """f = e(rho)'e_w - sigma2 tr G, the score times sigma2 (its sign survives
+        sigma2 -> 0), and f' = -e_w'e_w + (2/n) e(rho)'e_w tr G - sigma2 tr G^2."""
+        e = self.residuals(rho)
+        e_ew, s2 = float(e @ self.e_w), float(e @ e) / self.n
+        tr_g, tr_g2 = _trace_g(self.weights, rho, 1), _trace_g(self.weights, rho, 2)
+        slope = 2.0 * e_ew * tr_g / self.n - float(self.e_w @ self.e_w) - s2 * tr_g2
+        return e_ew - s2 * tr_g, slope
 
 
 def _solve_ls(z: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -248,31 +260,42 @@ def optimize_rho(design: MixedDesign) -> float:
     """Maximize the concentrated log-likelihood over [-0.999, 0.999].
 
     A 201-point grid locates the basin, guarding against local maxima; then
-    bisection on the sign of the score e(rho)'e_w / sigma2(rho) - tr(G) closes
-    the best point's bracket to adjacent floats, unless that point scores higher.
+    safeguarded Newton (Press et al., Numerical Recipes, sec. 9.4) on the score
+    times sigma2(rho) closes the best point's bracket to adjacent floats, unless
+    that point scores higher. A step that leaves the bracket halves it instead; one
+    that stops shrinking, as rounding flattens the score, doubles the last step.
     """
     profile = design._profile
 
-    def objective(rho: float) -> float:
+    def objective(rho: float, s2: float | None = None) -> float:
         try:
-            return profile.loglik(rho)
+            return profile.loglik(rho, s2)
         except NumericalError:
-            return -np.inf
+            return -math.inf
 
     grid = np.linspace(-RHO_BOUND, RHO_BOUND, _RHO_GRID_POINTS)
-    vals = np.array([objective(r) for r in grid])
+    sigma2 = profile.sigma2(grid).tolist()
+    vals = np.array([objective(r, s2) for r, s2 in zip(grid.tolist(), sigma2)])
     if not np.any(np.isfinite(vals)):
         raise NumericalError("concentrated log-likelihood is non-finite on the whole rho grid")
     best = int(np.argmax(vals))
     lo, hi = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)])
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        e = profile.residuals(mid)
-        # the score times sigma2(mid), whose sign survives sigma2 -> 0
-        ascends = e @ profile.e_w - profile.sigma2(mid) * _trace_g(profile.weights, mid, 1) > 0
-        lo, hi = (mid, hi) if ascends else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    return float(grid[best]) if objective(mid) < vals[best] else mid
+    # from the best point, or the float beside it when it is an end of the grid
+    rho = min(max(float(grid[best]), math.nextafter(lo, hi)), math.nextafter(hi, lo))
+    taken = last_newton = math.inf
+    while lo < rho < hi:
+        f, slope = profile.score(rho)
+        lo, hi = (rho, hi) if f > 0 else (lo, rho)
+        newton = -f / slope if slope else math.nan
+        if abs(newton) < 0.5 * last_newton:
+            step = rho + newton
+        else:  # Newton has stalled where rounding flattens f: gallop, doubling
+            step = rho + (2.0 * taken if f > 0 else -2.0 * taken)
+        if step == rho:
+            step = math.nextafter(rho, hi if f > 0 else lo)
+        step = step if lo < step < hi else 0.5 * (lo + hi)
+        rho, taken, last_newton = step, abs(step - rho), abs(newton)
+    return float(grid[best]) if objective(rho) < vals[best] else rho
 
 
 def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float = 0.7,
@@ -395,7 +418,7 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
         residuals=resid,
         r_squared=r_squared,
         mse_fitted=sse / design.n,
-        residual_moran=morans_i(resid, design.W),
+        residual_moran=morans_i(resid, design.weights),
         column_labels=design.column_labels,
     )
     if std_errors:

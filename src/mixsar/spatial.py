@@ -166,14 +166,14 @@ def log_det_system(rho: float, w) -> float:
     if isinstance(w, SpatialWeights):
         if not abs(rho) < 1.0:
             raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-        sign, logdet = 1.0, np.sum(np.log1p(-rho * w.eigenvalues).real)
+        sign, logdet = 1.0, float(np.log1p(-rho * w.eigenvalues).sum().real)
     else:
         sign, logdet = np.linalg.slogdet(_system_matrix(rho, w))
     if sign == 0.0:
         raise NumericalError(f"I - rho W is singular at rho={rho}")
     if sign < 0.0:
         raise NumericalError(f"det(I - rho W) is negative at rho={rho}")
-    if not np.isfinite(logdet):
+    if not math.isfinite(logdet):
         raise NumericalError(f"ln|det(I - rho W)| is not finite at rho={rho}")
     return float(logdet)
 
@@ -219,23 +219,37 @@ class SpatialWeights:
     ``matrix`` is what ``validate_weights(w, allow_isolated=False)`` returns,
     made read-only; it shares memory with ``w`` when ``w`` already is a float
     array, so ``w`` must not change afterwards. ``eigenvalues`` (read-only,
-    real or complex) is computed on first use; a pickled copy carries it.
+    real or complex) is computed on first use; a pickled copy carries it. The
+    sums over W that Moran's I needs are computed once, with the object.
     """
 
     def __init__(self, w):
         self.matrix = validate_weights(w, allow_isolated=False).view()
         self.matrix.flags.writeable = False
         self._eigenvalues = None
+        self._moran_sums = _sums_of(self.matrix)
 
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
-            self._eigenvalues = _spectrum(self.matrix)
-        self._eigenvalues.flags.writeable = False  # an unpickled copy's too
+            self.__setstate__({"_eigenvalues": _spectrum(self.matrix)})
         return self._eigenvalues
 
     def __reduce__(self):
         return type(self), (self.matrix,), {"_eigenvalues": self._eigenvalues}
+
+    def __setstate__(self, state):  # also marks freshly computed eigenvalues read-only
+        self._eigenvalues = state["_eigenvalues"]
+        if self._eigenvalues is not None:
+            self._eigenvalues.flags.writeable = False
+
+
+def _sums_of(w: np.ndarray) -> tuple[float, float, float]:
+    """S0, S1 and S2 of Moran's I moments, which depend on W alone."""
+    s0 = float(w.sum())
+    s1 = 0.5 * float(((w + w.T) ** 2).sum())
+    s2 = float(((w.sum(axis=1) + w.sum(axis=0)) ** 2).sum())
+    return s0, s1, s2
 
 
 def morans_i(values, w) -> MoranReport:
@@ -243,14 +257,19 @@ def morans_i(values, w) -> MoranReport:
 
     I = (n / S0) * (z' W z) / (z' z) with z the centered values. Moments are
     the closed forms under the normality assumption; the p-value is the
-    two-sided normal approximation.
+    two-sided normal approximation. ``w`` is an array, validated here, or a
+    :class:`SpatialWeights`, whose matrix and sums over W are reused.
     """
     x = np.asarray(values, dtype=float).ravel()
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise ValueError(f"values have {bad.size} non-finite entries, at units "
                          f"{bad[:10].tolist()}{' ...' if bad.size > 10 else ''}")
-    w = validate_weights(w)
+    if isinstance(w, SpatialWeights):
+        w, (s0, s1, s2) = w.matrix, w._moran_sums
+    else:
+        w = validate_weights(w)
+        s0, s1, s2 = _sums_of(w)
     n = x.size
     if w.shape[0] != n:
         raise ValueError(f"{n} values but {w.shape[0]}x{w.shape[0]} weights")
@@ -260,14 +279,11 @@ def morans_i(values, w) -> MoranReport:
     denom = float(z @ z)
     if denom == 0.0:
         raise ValueError("values are constant; Moran's I is undefined")
-    s0 = float(w.sum())
     if s0 == 0.0:
         raise ValueError("weight matrix is all zero")
     stat = n / s0 * float(z @ w @ z) / denom
 
     expectation = -1.0 / (n - 1)
-    s1 = 0.5 * float(((w + w.T) ** 2).sum())
-    s2 = float(((w.sum(axis=1) + w.sum(axis=0)) ** 2).sum())
     var = (n**2 * s1 - n * s2 + 3 * s0**2) / (s0**2 * (n**2 - 1)) - expectation**2
     if var > 0:
         z_score = (stat - expectation) / math.sqrt(var)

@@ -1,11 +1,15 @@
 """Design assembly, concentrated likelihood, rho optimization, full fits, Wald."""
 
+import math
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import GOLDEN
 
 from mixsar import geometry, model, spatial
 from mixsar.errors import NumericalError
@@ -236,6 +240,152 @@ def test_optimize_rho_finds_an_interior_optimum_near_the_lower_bound():
         assert best >= dense_profile(rho, d)
 
 
+def bisect_rho(design):
+    """Reference: the rho search before safeguarded Newton. The same grid, then
+    bisection on the sign of the score times sigma2(rho) to adjacent floats."""
+    profile = design._profile
+
+    def objective(rho):
+        try:
+            return profile.loglik(rho)
+        except NumericalError:
+            return -np.inf
+
+    grid = np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS)
+    vals = np.array([objective(r) for r in grid])
+    best = int(np.argmax(vals))
+    lo, hi = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)])
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        e = profile.residuals(mid)
+        trace = model._trace_g(profile.weights, mid, 1)
+        ascends = e @ profile.e_w - profile.sigma2(mid) * trace > 0
+        lo, hi = (mid, hi) if ascends else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return float(grid[best]) if objective(mid) < vals[best] else mid
+
+
+def knn_design(n=40, rho=0.5, seed=4):
+    """Asymmetric kNN weights, whose spectrum is complex."""
+    rng = np.random.default_rng(seed)
+    w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(n, 2)), k=4, cutoff=100.0)
+    x = rng.normal(size=(n, 2))
+    y = np.linalg.solve(np.eye(n) - rho * w, 0.5 + x @ [1.0, -0.7] + 0.5 * rng.normal(size=n))
+    return make_design(y, x, w)
+
+
+def noise_free_design():
+    rng = np.random.default_rng(5)
+    w = rook_lattice(10, 10)
+    x = rng.normal(size=(100, 2))
+    y = np.linalg.solve(np.eye(100) - 0.6 * w, 0.7 + x @ [-1.2, 2.0])
+    return make_design(y, x, w)
+
+
+def golden_design(name):
+    """The design that fit() builds for a golden case."""
+    designs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "optimize_rho", lambda design: designs.append(design) or 0.0)
+        fit(**{**GOLDEN[name][0](), "std_errors": False})
+    return designs[0]
+
+
+RHO_SEARCH_DESIGNS = {
+    "rook": lambda: make_design(
+        *sar_instance(n_rows=5, n_cols=6, rng=np.random.default_rng(2))[:3]),
+    "knn": knn_design,
+    "interior_near_lower_bound": lambda: make_design(
+        *sar_instance(n_rows=6, n_cols=6, rho=-0.998, rng=np.random.default_rng(3))[:3]),
+    "endpoint": lambda: make_design(
+        *sar_instance(n_rows=6, n_cols=6, rho=-0.9999, rng=np.random.default_rng(0))[:3]),
+    "noise_free": noise_free_design,
+    **{f"golden_{name}": lambda name=name: golden_design(name) for name in GOLDEN},
+}
+
+
+def assert_within_one_ulp(actual, expected):
+    assert abs(actual - expected) <= math.ulp(expected), (actual, expected)
+
+
+@pytest.mark.parametrize("name", sorted(RHO_SEARCH_DESIGNS))
+def test_optimize_rho_matches_the_bisection_reference(name):
+    d = RHO_SEARCH_DESIGNS[name]()
+    if name == "knn":
+        assert np.iscomplexobj(d.weights.eigenvalues)
+    assert_within_one_ulp(optimize_rho(d), bisect_rho(d))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["rook", "knn"]), n_rows=st.integers(3, 7),
+       n_cols=st.integers(3, 7), rho=st.floats(-0.99, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_optimize_rho_matches_the_bisection_reference_on_random_designs(kind, n_rows, n_cols,
+                                                                        rho, seed):
+    rng = np.random.default_rng(seed)
+    n = n_rows * n_cols
+    if kind == "rook":
+        w = rook_lattice(n_rows, n_cols)
+    else:
+        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(n, 2)), k=4, cutoff=100.0)
+    x = rng.normal(size=(n, 2))
+    y = np.linalg.solve(np.eye(n) - rho * w, 0.5 + x @ [1.0, -0.7] + 0.5 * rng.normal(size=n))
+    d = make_design(y, x, w)
+    assert_within_one_ulp(optimize_rho(d), bisect_rho(d))
+
+
+def count_scores(monkeypatch):
+    """Count the score evaluations from here on, as tr G calls; returns their rhos."""
+    scores = []
+    trace_g = model._trace_g
+
+    def counted(weights, rho, power):
+        if power == 1:
+            scores.append(rho)
+        return trace_g(weights, rho, power)
+
+    monkeypatch.setattr(model, "_trace_g", counted)
+    return scores
+
+
+@pytest.mark.parametrize("name", sorted(RHO_SEARCH_DESIGNS))
+def test_optimize_rho_evaluation_budget(name, monkeypatch):
+    d = RHO_SEARCH_DESIGNS[name]()
+    scores, log_dets = count_scores(monkeypatch), []
+    log_det_system = model.log_det_system
+
+    def counted_log_det_system(rho, w):
+        log_dets.append(rho)
+        return log_det_system(rho, w)
+
+    monkeypatch.setattr(model, "log_det_system", counted_log_det_system)
+    optimize_rho(d)
+    assert 1 <= len(scores) <= 12  # bisection to adjacent floats takes about 48
+    assert len(log_dets) == model._RHO_GRID_POINTS + 1  # each grid point, then the root
+
+
+@pytest.mark.parametrize("seed", [661, 1528])
+def test_optimize_rho_gallops_where_rounding_flattens_the_score(seed, monkeypatch):
+    # Near rho_hat ~ 1e-4, e_y - rho e_w does not change over a few hundred floats
+    # of rho, so the computed score is flat there and Newton's step undershoots
+    # its sign change; stepping one float at a time took up to 52 score evaluations.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(150, 2))
+    d = make_design(0.5 + x @ [1.0, -0.7] + 0.5 * rng.normal(size=150), x, rook_lattice(10, 15))
+    scores = count_scores(monkeypatch)
+    rho_hat = optimize_rho(d)
+    assert abs(rho_hat) < 1e-3
+    assert len(scores) <= 20
+    assert_within_one_ulp(rho_hat, bisect_rho(d))
+
+
+@pytest.mark.parametrize("name", sorted(RHO_SEARCH_DESIGNS))
+def test_grid_sigma2_equals_the_scalar_sigma2(name):
+    profile = RHO_SEARCH_DESIGNS[name]()._profile
+    grid = np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS)
+    np.testing.assert_allclose(profile.sigma2(grid), [profile.sigma2(r) for r in grid],
+                               rtol=1e-14, atol=0)
+
+
 # -- end-to-end fit -----------------------------------------------------------------------
 
 def mixed_inputs(n_rows=5, n_cols=6, rho=0.4, seed=11):
@@ -426,15 +576,21 @@ def test_fits_sharing_spatial_weights_match_fits_on_the_array(monkeypatch):
     w = rook_lattice(6, 7)
     shared = SpatialWeights(w)
     calls = count_spectra(monkeypatch)
+    sums = []
+    sums_of = spatial._sums_of
+    monkeypatch.setattr(spatial, "_sums_of", lambda w: sums.append(w) or sums_of(w))
     for seed in (21, 22):
         y, x, _, _ = sar_instance(n_rows=6, n_cols=7, rng=np.random.default_rng(seed))
         plain = fit(y, scalars=x, weights=w, std_errors=True)
         calls.clear()
+        sums.clear()
         res = fit(y, scalars=x, weights=shared, std_errors=True)
         for name in ("rho_hat", "delta_hat", "sigma2_hat", "std_errors", "loglik", "fitted"):
             np.testing.assert_array_equal(getattr(res, name), getattr(plain, name), err_msg=name)
+        assert res.residual_moran == plain.residual_moran
         # the first shared fit decomposes W; the second reuses its eigenvalues
         assert len(calls) == (seed == 21)
+        assert sums == []  # summed for Moran's I when the object was built
 
 
 @pytest.mark.parametrize("kind", ["rook", "knn"])

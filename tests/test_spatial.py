@@ -357,6 +357,12 @@ def test_log_det_rejects_non_finite_weights(bad):
         log_det_system(0.5, np.array([[0.0, bad], [bad, 0.0]]))
 
 
+def test_spectral_log_det_rejects_a_non_finite_result(monkeypatch):
+    monkeypatch.setattr(spatial, "_spectrum", lambda w: np.array([1.0, np.nan, -1.0]))
+    with pytest.raises(NumericalError, match=r"not finite at rho=0\.5"):
+        log_det_system(0.5, SpatialWeights(rook_lattice(1, 3)))
+
+
 def test_solve_system_rejects_non_finite_solution():
     # finite system, but x = rhs / 0.5 overflows
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -587,6 +593,36 @@ def test_moran_smooth_surface_positive_and_permutation_shrinks():
     assert smooth.statistic > 0.5
     perm = morans_i(RNG.permutation(vals), w)
     assert abs(perm.statistic - perm.expectation) < abs(smooth.statistic - smooth.expectation)
+
+
+@pytest.mark.parametrize("kind", ["rook", "knn", "random"])
+def test_moran_on_spatial_weights_equals_moran_on_the_array(kind):
+    rng = np.random.default_rng(8)
+    if kind == "rook":
+        w = rook_lattice(5, 6)
+    elif kind == "knn":
+        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(30, 2)), k=4, cutoff=100.0)
+    else:
+        w = random_weights(30, rng)
+    sw = SpatialWeights(w)
+    for _ in range(3):
+        vals = rng.normal(size=30)
+        assert morans_i(vals, sw) == morans_i(vals, w)
+
+
+def test_spatial_weights_sums_moran_moments_once(monkeypatch):
+    calls = []
+    sums_of = spatial._sums_of
+    monkeypatch.setattr(spatial, "_sums_of", lambda w: calls.append(w) or sums_of(w))
+    w = rook_lattice(4, 5)
+    sw = SpatialWeights(w)
+    assert len(calls) == 1
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        morans_i(rng.normal(size=20), sw)
+    assert len(calls) == 1
+    morans_i(rng.normal(size=20), w)  # an array is summed on every call
+    assert len(calls) == 2
 
 
 def test_moran_rejects_non_finite_values():
