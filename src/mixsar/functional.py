@@ -176,15 +176,9 @@ def smooth_curves(raw: RawCurveObservations, bandwidth: float, grid_size: int = 
 
     grid = np.linspace(0.0, 1.0, grid_size)
     dist = np.abs(grid[:, None] - times[None, :])  # (G, J)
-    u = dist / bandwidth
-    kernel = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u**2), 0.0)
-
-    empty = kernel.sum(axis=1) == 0.0
-    if np.any(empty):
-        local_h = dist[empty].min(axis=1) * (1.0 + 1e-9)
-        u_loc = dist[empty] / local_h[:, None]
-        kernel[empty] = np.where(np.abs(u_loc) <= 1.0, 0.75 * (1.0 - u_loc**2), 0.0)
-
+    nearest = dist.min(axis=1, keepdims=True)
+    u = dist / np.where(nearest < bandwidth, bandwidth, nearest * (1.0 + 1e-9))
+    kernel = np.where(u <= 1.0, 0.75 * (1.0 - u**2), 0.0)
     weights = kernel / kernel.sum(axis=1, keepdims=True)
     return CurveSample(grid, values @ weights.T)
 

@@ -47,8 +47,9 @@ class MixedDesign:
     """Response, stacked regressor matrix, and spatial weights for one fit.
 
     ``blocks`` maps block names ("intercept", "fpc", "ilr", "scalar") to
-    column slices of Z; absent covariate types simply have no block. The
-    design's profile likelihood is built on first use and then shared.
+    column slices of Z; absent covariate types simply have no block. Wy and
+    the design's profile likelihood, which takes it, are built on first use
+    and then shared; ``residuals`` is the one formula for y - rho Wy - Z delta.
     """
 
     y: np.ndarray
@@ -66,8 +67,15 @@ class MixedDesign:
         return self.weights.matrix
 
     @cached_property
+    def wy(self) -> np.ndarray:
+        return self.W @ self.y
+
+    @cached_property
     def _profile(self) -> _Profile:
-        return _Profile(self.y, self.Z, self.weights)
+        return _Profile(self.y, self.wy, self.Z, self.weights)
+
+    def residuals(self, rho: float, delta: np.ndarray) -> np.ndarray:
+        return self.y - rho * self.wy - self.Z @ delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +132,7 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
     labels = ["intercept"]
     blocks = {"intercept": slice(0, 1)}
 
-    def add_block(name, raw, names=None):
+    def add_block(name, raw, prefix, names=None):
         mat = np.asarray(raw, dtype=float)
         if mat.ndim == 1:
             mat = mat[:, None]
@@ -132,7 +140,7 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
             raise ValueError(f"{name} block has shape {mat.shape}, expected ({n}, k)")
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"{name} block contains non-finite values")
-        names = list(names) if names else [f"{name}_{j + 1}" for j in range(mat.shape[1])]
+        names = list(names) if names else [f"{prefix}_{j + 1}" for j in range(mat.shape[1])]
         if len(names) != mat.shape[1]:
             raise ValueError(f"{name} labels do not match the block width")
         start = sum(p.shape[1] for p in parts)
@@ -141,22 +149,17 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
         blocks[name] = slice(start, start + mat.shape[1])
 
     if scores_block is not None and np.size(scores_block):
-        add_block("fpc", scores_block)
+        add_block("fpc", scores_block, "fpc")
     if ilr_block is not None and np.size(ilr_block):
-        add_block("ilr", ilr_block)
+        add_block("ilr", ilr_block, "ilr")
     if scalars is not None and np.size(scalars):
-        mat = np.asarray(scalars, dtype=float)
-        width = 1 if mat.ndim == 1 else mat.shape[1]
-        names = list(scalar_labels) if scalar_labels else [f"x_{j + 1}" for j in range(width)]
-        add_block("scalar", scalars, names)
+        add_block("scalar", scalars, "x", scalar_labels)
 
     z = np.hstack(parts)
     if z.shape[1] > n:
         raise ValueError(f"{z.shape[1]} regressors for only {n} observations")
-    cols = 0
-    for name in blocks:
-        cols = blocks[name].stop
-        if np.linalg.matrix_rank(z[:, :cols]) < cols:
+    for name, span in blocks.items():
+        if np.linalg.matrix_rank(z[:, :span.stop]) < span.stop:
             raise ValueError(f"design is rank deficient at block '{name}'")
     return MixedDesign(y=y, Z=z, weights=weights, column_labels=tuple(labels), blocks=blocks)
 
@@ -164,20 +167,21 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
 class _Profile:
     """The profile likelihood of one design, O(n) per rho.
 
-    Least squares of y and of Wy on Z, done once, give delta(rho) =
-    d_y - rho d_w and residuals e_y - rho e_w, whose mean square, sigma2(rho),
-    stays >= 0 even where a noise-free fit drives it to zero. It keeps n and
-    the weights, not the design, so a design caching it forms no cycle.
+    Least squares of y and of Wy, which it takes from the design, on Z, done
+    once, give delta(rho) = d_y - rho d_w and residuals e_y - rho e_w, whose
+    mean square, sigma2(rho), stays >= 0 even where a noise-free fit drives it
+    to zero. It keeps n and the weights, not the design, so a design caching it
+    forms no cycle.
     """
 
-    def __init__(self, y: np.ndarray, z: np.ndarray, weights: SpatialWeights):
+    def __init__(self, y: np.ndarray, wy: np.ndarray, z: np.ndarray, weights: SpatialWeights):
         self.n = y.size
         self.weights = weights
-        self.wy = weights.matrix @ y
+        self.wy = wy
         self.d_y = _solve_ls(z, y)
-        self.d_w = _solve_ls(z, self.wy)
+        self.d_w = _solve_ls(z, wy)
         self.e_y = y - z @ self.d_y
-        self.e_w = self.wy - z @ self.d_w
+        self.e_w = wy - z @ self.d_w
 
     def delta(self, rho: float) -> np.ndarray:
         return self.d_y - rho * self.d_w
@@ -235,8 +239,7 @@ def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
     """Gaussian log-likelihood of the spatial-lag system at given parameters."""
     if not sigma2 > 0.0:
         raise ValueError("sigma2 must be positive")
-    delta = np.asarray(delta, dtype=float)
-    e = design.y - rho * (design.W @ design.y) - design.Z @ delta
+    e = design.residuals(rho, np.asarray(delta, dtype=float))
     n = design.n
     return float(
         -0.5 * n * np.log(2.0 * np.pi * sigma2)
@@ -379,9 +382,8 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     else:
         rho_hat = optimize_rho(design)
 
-    profile = design._profile
-    delta = profile.delta(rho_hat)
-    resid = design.y - rho_hat * profile.wy - design.Z @ delta
+    delta = design._profile.delta(rho_hat)
+    resid = design.residuals(rho_hat, delta)
     sigma2 = float(resid @ resid) / design.n
     if sigma2 <= 0.0:
         raise NumericalError("exact fit: residual variance is zero")
@@ -440,9 +442,8 @@ def wald_std_errors(design: MixedDesign, result: FitResult):
     """
     rho, delta, s2 = result.rho_hat, result.delta_hat, result.sigma2_hat
     params = np.concatenate([[rho], delta, [s2]])
-    wy = design.W @ design.y
-    e = design.y - rho * wy - design.Z @ delta
-    x = np.column_stack([wy, design.Z])  # de/d(rho, delta) = -[Wy | Z]
+    e = design.residuals(rho, delta)
+    x = np.column_stack([design.wy, design.Z])  # de/d(rho, delta) = -[Wy | Z]
 
     hess = np.empty((params.size, params.size))
     hess[:-1, :-1] = -(x.T @ x) / s2

@@ -78,6 +78,9 @@ def rook_lattice(n_rows: int, n_cols: int) -> np.ndarray:
     Units are indexed row-major; two cells are neighbours when they share a
     border (one step horizontally or vertically).
     """
+    for name, size in (("n_rows", n_rows), ("n_cols", n_cols)):
+        if not isinstance(size, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {size!r}")
     if n_rows < 1 or n_cols < 1 or n_rows * n_cols < 2:
         raise ValueError("lattice needs at least 2 cells")
     n = n_rows * n_cols
@@ -147,10 +150,13 @@ def knn_inverse_distance(locations, k: int, cutoff: float, metric: str = "euclid
 
 
 def _system_matrix(rho: float, w) -> np.ndarray:
-    """I - rho W, for |rho| < 1."""
+    """I - rho W, for square W and |rho| < 1."""
     if not abs(rho) < 1.0:
         raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-    a = -rho * np.asarray(w, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"weight matrix must be square, got shape {w.shape}")
+    a = -rho * w
     np.fill_diagonal(a, a.diagonal() + 1.0)
     return a
 

@@ -1,10 +1,15 @@
 """Curve smoothing, derivatives, quadrature, covariance, FPCA, and scores."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixsar.functional import (
     CurveSample,
+    FpcaBasis,
     RawCurveObservations,
     default_bandwidth,
     derivative_curves,
@@ -115,6 +120,48 @@ def test_smooth_rejects_bad_args():
         RawCurveObservations(np.array([0.0, 0.2]), np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ValueError):
         RawCurveObservations(np.array([0.3, 0.2]), np.array([[1.0, 2.0]]))
+
+
+def two_branch_smooth(raw, bandwidth, grid_size):
+    """Reference smoother: the kernel at ``bandwidth``, then a second evaluation,
+    at just past the nearest distance, for the grid points it leaves empty."""
+    times, uniq_idx = np.unique(raw.times, return_index=True)
+    values = raw.values[:, uniq_idx]
+    grid = np.linspace(0.0, 1.0, grid_size)
+    dist = np.abs(grid[:, None] - times[None, :])
+    u = dist / bandwidth
+    kernel = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u**2), 0.0)
+    empty = kernel.sum(axis=1) == 0.0
+    if np.any(empty):
+        local_h = dist[empty].min(axis=1) * (1.0 + 1e-9)
+        u_loc = dist[empty] / local_h[:, None]
+        kernel[empty] = np.where(np.abs(u_loc) <= 1.0, 0.75 * (1.0 - u_loc**2), 0.0)
+    weights = kernel / kernel.sum(axis=1, keepdims=True)
+    return values @ weights.T
+
+
+@st.composite
+def raw_smoothing_cases(draw):
+    """Raw curves, some with repeated points, a bandwidth in [0.002, 0.3], a grid size."""
+    distinct = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=25, unique=True)))
+    distinct.sort()
+    repeats = draw(st.lists(st.integers(1, 2), min_size=distinct.size, max_size=distinct.size))
+    times = np.repeat(distinct, repeats)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.repeat(rng.normal(size=(draw(st.integers(1, 3)), distinct.size)), repeats, axis=1)
+    bandwidth = draw(st.floats(0.002, 0.3))
+    return RawCurveObservations(times, values), bandwidth, draw(st.integers(2, 150))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw_smoothing_cases())
+@example((RawCurveObservations([0.0, 1.0], [[2.0, 8.0]]), 0.05, 11))  # interior windows empty
+@example((RawCurveObservations([0.0, 1.0], [[2.0, 8.0]]), 0.5, 3))  # nearest at the half-width
+@example((RawCurveObservations([0.25, 0.25, 0.5], [[1.0, 1.0, 3.0]]), 0.002, 101))
+def test_smooth_matches_the_two_branch_kernel(case):
+    raw, bandwidth, grid_size = case
+    sm = smooth_curves(raw, bandwidth, grid_size)
+    assert np.array_equal(sm.values, two_branch_smooth(raw, bandwidth, grid_size))
 
 
 def test_default_bandwidth_is_twice_median_spacing():
@@ -319,3 +366,55 @@ def test_scores_m_out_of_range():
     basis = fpca(sample)
     with pytest.raises(ValueError):
         scores(sample, basis, basis.n_retained + 1)
+
+
+# -- input checks ---------------------------------------------------------------------
+
+GRID3 = np.array([0.0, 0.5, 1.0])
+
+
+def fpca_basis(**fields):
+    base = dict(grid=GRID3, mean_curve=np.zeros(3), eigenvalues=np.array([2.0, 1.0]),
+                eigenfunctions=np.ones((2, 3)), quadrature_weights=trapezoid_weights(GRID3))
+    return FpcaBasis(**{**base, **fields})
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: RawCurveObservations([0.5], [[1.0]]),
+                 "need at least 2 observation points", id="raw-one-point"),
+    pytest.param(lambda: RawCurveObservations([0.0, 1.5], [[1.0, 2.0]]),
+                 "observation points must lie in [0, 1]", id="raw-outside-unit-interval"),
+    pytest.param(lambda: RawCurveObservations([0.0, 1.0], [[1.0, np.nan]]),
+                 "curve values must be finite", id="raw-non-finite"),
+    pytest.param(lambda: RawCurveObservations([0.0, 0.5, 0.5], [[1.0, 2.0, 3.0]]),
+                 "repeated observation points must carry identical values", id="raw-repeat"),
+    pytest.param(lambda: CurveSample([0.5], [[1.0]]), "grid needs at least 2 points",
+                 id="sample-one-point"),
+    pytest.param(lambda: CurveSample([0.0, 0.0, 1.0], [[1.0, 2.0, 3.0]]),
+                 "grid must be strictly increasing", id="sample-repeat"),
+    pytest.param(lambda: CurveSample([-0.5, 1.0], [[1.0, 2.0]]), "grid must lie in [0, 1]",
+                 id="sample-outside-unit-interval"),
+    pytest.param(lambda: CurveSample(GRID3, [[1.0, 2.0]]),
+                 "values have 2 columns for a 3-point grid", id="sample-width"),
+    pytest.param(lambda: CurveSample(GRID3, [[1.0, np.inf, 2.0]]),
+                 "curve values must be finite", id="sample-non-finite"),
+    pytest.param(lambda: fpca_basis(eigenvalues=np.array([1.0, -1.0])),
+                 "eigenvalues must be non-negative", id="basis-negative"),
+    pytest.param(lambda: fpca_basis(eigenvalues=np.array([1.0, 2.0])),
+                 "eigenvalues must be non-increasing", id="basis-increasing"),
+    pytest.param(lambda: trapezoid_weights([0.5]), "grid needs at least 2 points",
+                 id="trapezoid-one-point"),
+    pytest.param(lambda: default_bandwidth([0.5, 0.5]),
+                 "need at least 2 distinct observation points", id="bandwidth-one-distinct"),
+    pytest.param(lambda: empirical_covariance(CurveSample(GRID3, [[1.0, 2.0, 3.0]])),
+                 "need at least 2 subjects", id="covariance-one-subject"),
+    pytest.param(lambda: pve_truncate([], 0.5),
+                 "eigenvalues must be a non-empty non-negative vector", id="pve-empty"),
+    pytest.param(lambda: pve_truncate([1.0, -0.5], 0.5),
+                 "eigenvalues must be a non-empty non-negative vector", id="pve-negative"),
+    pytest.param(lambda: scores(CurveSample([0.0, 0.4, 1.0], np.ones((2, 3))), fpca_basis(), 1),
+                 "sample grid does not match the basis grid", id="scores-grid"),
+])
+def test_functional_input_checks(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -1,6 +1,7 @@
 """Aitchison geometry: closure, inner product, norm, perturbation, powering, ilr."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,3 +254,27 @@ def test_property_perturb_additivity_and_isometry(data):
     y = closure(np.array(data.draw(parts)))
     np.testing.assert_allclose(ilr(perturb(x, y)), ilr(x) + ilr(y), atol=1e-10)
     assert aitchison_inner(x, y) == pytest.approx(float(np.dot(ilr(x), ilr(y))), abs=1e-10)
+
+
+# -- input checks ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: closure(np.ones((2, 2, 2))),
+                 "raw parts must be a 1-d or 2-d array, got ndim=3", id="closure-ndim"),
+    pytest.param(lambda: geometric_mean([0.5, 0.0, 0.5]),
+                 "composition has non-positive parts", id="composition-zero-part"),
+    pytest.param(lambda: geometric_mean([0.3, 0.3]),
+                 "composition parts do not sum to 1 (max deviation 4.000e-01)", id="composition-sum"),
+    pytest.param(lambda: closure([1e-310, 1.0]), "closure produced a part below 1e-300",
+                 id="closure-underflow"),
+    pytest.param(lambda: perturb([0.5, 0.5], [0.2, 0.3, 0.5]),
+                 "dimension mismatch: 2 vs 3 parts", id="perturb-dimensions"),
+    pytest.param(lambda: ilr_basis(1), "need at least 2 parts", id="basis-one-part"),
+    pytest.param(lambda: ilr_inv(np.zeros((1, 1, 2))),
+                 "ilr coordinates must be 1-d or 2-d, got ndim=3", id="ilr-inv-ndim"),
+    pytest.param(lambda: ilr_inv([0.0, np.nan]), "ilr coordinates contain non-finite entries",
+                 id="ilr-inv-non-finite"),
+])
+def test_geometry_input_checks(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

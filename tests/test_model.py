@@ -1,6 +1,7 @@
 """Design assembly, concentrated likelihood, rho optimization, full fits, Wald."""
 
 import math
+import re
 import weakref
 from dataclasses import replace
 
@@ -538,6 +539,25 @@ def test_fit_loglik_is_full_loglik_at_the_estimates(kind, rho):
     np.testing.assert_allclose(res.loglik, expected, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_wy_and_the_residual_have_one_home_in_the_design(name, monkeypatch):
+    designs = []
+    search = model.optimize_rho
+    monkeypatch.setattr(model, "optimize_rho",
+                        lambda design: designs.append(design) or search(design))
+    res = fit(**GOLDEN[name][0]())
+    (design,) = designs
+    assert design.wy is design._profile.wy
+    rho, delta, s2 = res.rho_hat, res.delta_hat, res.sigma2_hat
+    assert np.array_equal(res.residuals, design.residuals(rho, delta))
+
+    y, w, z, n = design.y, design.W, design.Z, design.n
+    e = y - rho * (w @ y) - z @ delta
+    gaussian = (-0.5 * n * np.log(2.0 * np.pi * s2) + np.linalg.slogdet(np.eye(n) - rho * w)[1]
+                - (e @ e) / (2.0 * s2))
+    assert full_loglik(rho, delta, s2, design) == gaussian == res.loglik
+
+
 def test_least_squares_run_once_per_target_per_design(monkeypatch):
     calls = []
     solve_ls = model._solve_ls
@@ -728,3 +748,51 @@ def test_wald_warns_when_hessian_is_not_negative_definite():
     inflated = replace(res, sigma2_hat=3 * res.sigma2_hat)
     with pytest.warns(UserWarning, match="not negative definite"):
         assert wald_std_errors(make_design(y, x, w), inflated) is None
+
+
+def test_wald_warns_when_hessian_is_singular():
+    y, x, w, _ = sar_instance(n_rows=6, n_cols=6, rng=np.random.default_rng(17))
+    res = fit(y, scalars=x, weights=w)
+    # an infinite sigma2 zeroes every Hessian entry but the -tr(G^2) in the corner
+    with pytest.warns(UserWarning, match="Wald Hessian is singular"):
+        assert wald_std_errors(make_design(y, x, w), replace(res, sigma2_hat=math.inf)) is None
+
+
+# -- input checks ---------------------------------------------------------------------
+
+def small_case():
+    y, x, w, _ = sar_instance(n_rows=3, n_cols=4, q=2, rng=np.random.default_rng(8))
+    return y, x, w
+
+
+def rank_deficient_design():
+    y, x, w = small_case()
+    z = np.column_stack([np.ones(y.size), x[:, 0], x[:, 0]])
+    return MixedDesign(y=y, Z=z, weights=SpatialWeights(w), column_labels=("a", "b", "c"),
+                       blocks={"intercept": slice(0, 1), "scalar": slice(1, 3)})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda y, x, w: assemble_design(np.where(np.arange(y.size) == 3, np.nan, y),
+                                                 scalars=x, weights=w),
+                 ValueError, "response contains non-finite values", id="response-non-finite"),
+    pytest.param(lambda y, x, w: assemble_design(y, scalars=np.where(x > 1.0, np.inf, x),
+                                                 weights=w),
+                 ValueError, "scalar block contains non-finite values", id="block-non-finite"),
+    pytest.param(lambda y, x, w: assemble_design(y, scalars=x, weights=w, scalar_labels=["a"]),
+                 ValueError, "scalar labels do not match the block width", id="label-count"),
+    pytest.param(lambda y, x, w: delta_hat(0.3, rank_deficient_design()),
+                 ValueError, "design matrix is rank deficient", id="profile-rank"),
+    pytest.param(lambda y, x, w: sigma2_hat(1.0, make_design(y, x, w)),
+                 ValueError, "rho must satisfy |rho| < 1, got 1.0", id="profile-rho"),
+    pytest.param(lambda y, x, w: fit(y, scalars=x, weights=w, pve=0.0),
+                 ValueError, "pve must be in (0, 1]", id="fit-pve"),
+    pytest.param(lambda y, x, w: fit(y, np.ones((y.size, 3)), weights=w),
+                 ValueError, "curves must be RawCurveObservations or CurveSample",
+                 id="fit-curve-type"),
+    pytest.param(lambda y, x, w: fit(np.zeros(y.size), weights=w, rho=0.3),
+                 NumericalError, "exact fit: residual variance is zero", id="fit-constant-y"),
+])
+def test_model_input_checks(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build(*small_case())

@@ -165,6 +165,13 @@ def test_gen_response_names_non_finite_weights():
         gen_response(w, 0.5, None, None, None, None, np.ones(2), 1.0, 0.0, _ZeroNormalRng())
 
 
+def test_gen_response_rejects_a_curve_count_other_than_n():
+    curves = gen_functional(3, 1.1, np.linspace(0, 1, 5), np.random.default_rng(6))
+    with pytest.raises(ValueError, match="curve count does not match the weight matrix"):
+        gen_response(rook_lattice(2, 2), 0.3, curves, np.zeros(5), None, None, None, None, 1.0,
+                     _ZeroNormalRng())
+
+
 # -- Monte Carlo driver --------------------------------------------------------------------
 
 def test_monte_carlo_decomposes_w_once_per_setting(monkeypatch):
@@ -278,6 +285,16 @@ def test_config_validation():
     # Python and numpy integers pass, as does noiseless data
     SimConfig(np.int64(10), np.int32(15), 0.4, 1.1, np.int64(10), np.uint8(1),
               noise_scale=0.0, grid_size=np.int64(50))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n_rows": 1, "n_cols": 1}, "lattice needs at least 2 cells"),
+    ({"grid_size": 1}, "grid_size must be at least 2"),
+])
+def test_sim_config_rejects_degenerate_settings(fields, message):
+    base = dict(n_rows=3, n_cols=4, rho_true=0.5, alpha_decay=1.1, n_reps=2, seed=0)
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**{**base, **fields})
 
 
 def test_report_emission_shapes():

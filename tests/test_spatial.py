@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from mixsar import spatial
 from mixsar.errors import NumericalError
+from mixsar.simulation import gen_response
 from mixsar.spatial import (
     SpatialWeights,
     knn_inverse_distance,
@@ -70,6 +72,19 @@ def test_rook_symmetric_prenormalization_neighbour_rule():
 def test_rook_rejects_single_cell():
     with pytest.raises(ValueError):
         rook_lattice(1, 1)
+
+
+@pytest.mark.parametrize("n_rows, n_cols, message", [
+    (2.5, 3, "n_rows must be an integer, got 2.5"),
+    (3, "3", "n_cols must be an integer, got '3'"),
+])
+def test_rook_rejects_non_integer_sizes(n_rows, n_cols, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rook_lattice(n_rows, n_cols)
+
+
+def test_rook_accepts_numpy_integer_sizes():
+    np.testing.assert_array_equal(rook_lattice(np.int64(3), np.int64(2)), rook_lattice(3, 2))
 
 
 def reference_rook(n_rows, n_cols):
@@ -424,6 +439,17 @@ def test_solve_system_singularity_flagged():
 
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda w: solve_system(0.3, w, np.ones(2)), id="solve_system"),
+    pytest.param(lambda w: log_det_system(0.3, w), id="log_det_system"),
+    pytest.param(lambda w: gen_response(w, 0.3, None, None, None, None, np.ones(2), 1.0, 0.0,
+                                        np.random.default_rng(0)), id="gen_response"),
+])
+def test_non_square_weights_are_a_shape_error(call):
+    with pytest.raises(ValueError, match=re.escape("weight matrix must be square, got shape (2, 3)")):
+        call(np.ones((2, 3)))
+
+
 def test_solve_system_lists_at_most_ten_non_finite_weights():
     w = np.full((4, 4), np.inf)
     np.fill_diagonal(w, 0.0)
@@ -640,3 +666,24 @@ def test_moran_rejects_non_finite_values():
 def test_moran_rejects_constant_values():
     with pytest.raises(ValueError):
         morans_i(np.ones(5), random_weights(5))
+
+
+# -- input checks ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: pairwise_distances(np.ones((3, 3))), "locations must be an (n, 2) array",
+                 id="locations-shape"),
+    pytest.param(lambda: pairwise_distances(np.eye(2), metric="manhattan"),
+                 "unknown metric 'manhattan'; use 'euclidean' or 'greatcircle'", id="metric"),
+    pytest.param(lambda: knn_inverse_distance(np.eye(2), 0, 1.0), "k must be at least 1",
+                 id="knn-k-zero"),
+    pytest.param(lambda: morans_i(np.arange(3.0), rook_lattice(2, 2)), "3 values but 4x4 weights",
+                 id="moran-size"),
+    pytest.param(lambda: morans_i([1.0], np.zeros((1, 1))), "need at least 2 units",
+                 id="moran-one-unit"),
+    pytest.param(lambda: morans_i([1.0, 2.0, 4.0], np.zeros((3, 3))), "weight matrix is all zero",
+                 id="moran-zero-weights"),
+])
+def test_spatial_input_checks(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
