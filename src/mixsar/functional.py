@@ -1,6 +1,5 @@
 """Functional-data machinery: discretely observed curves, kernel smoothing,
-derivatives, L2 inner products, covariance eigendecomposition, and principal
-component scores.
+derivatives, covariance eigendecomposition, and principal component scores.
 
 Curves live on a shared evaluation grid inside [0, 1]. Integrals are
 trapezoid-rule quadratures on that grid; the eigenproblem of the sample
@@ -13,6 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _check_finite_points(points: np.ndarray, name: str) -> None:
+    """Reject NaN and infinite points first: the range and order checks pass NaN."""
+    bad = np.flatnonzero(~np.isfinite(points))
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {points[bad].tolist()} "
+                         f"at indices {bad.tolist()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +40,7 @@ class RawCurveObservations:
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if times.ndim != 1 or times.size < 2:
             raise ValueError("need at least 2 observation points")
+        _check_finite_points(times, "observation points")
         if np.any(times < 0.0) or np.any(times > 1.0):
             raise ValueError("observation points must lie in [0, 1]")
         if np.any(np.diff(times) < 0):
@@ -66,6 +74,7 @@ class CurveSample:
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid needs at least 2 points")
+        _check_finite_points(grid, "grid points")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
         if grid[0] < 0.0 or grid[-1] > 1.0:
@@ -124,21 +133,6 @@ def trapezoid_weights(grid) -> np.ndarray:
     w[-1] = d[-1] / 2.0
     w[1:-1] = (d[:-1] + d[1:]) / 2.0
     return w
-
-
-def l2_inner(f, g, weights):
-    """Trapezoid approximation of the L2 inner product on [0, 1].
-
-    Accepts single curves or row-stacked curve matrices (broadcast over the
-    leading axis); returns a float for two single curves.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if f.shape[-1] != g.shape[-1] or f.shape[-1] != w.size:
-        raise ValueError("f, g, and weights must have matching lengths")
-    out = np.sum(w * (f * g), axis=-1)  # f * g == g * f exactly, so symmetric
-    return float(out) if out.ndim == 0 else out
 
 
 def default_bandwidth(times) -> float:

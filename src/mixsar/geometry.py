@@ -1,11 +1,12 @@
-"""Aitchison-geometry operations on compositional data.
+"""Compositional data in the Aitchison geometry: closure and ilr coordinates.
 
 A composition is a vector of ``d >= 2`` strictly positive parts summing to 1.
 Compositions are represented as plain float arrays; every operation validates
-its inputs, so arrays coming out of :func:`closure`, :func:`perturb`,
-:func:`power` and :func:`ilr_inv` are always valid compositions. All functions
-accept a single composition (1-d array) or a stack of compositions (2-d array,
-one row per composition).
+its inputs, so arrays coming out of :func:`closure` and :func:`ilr_inv` are
+always valid compositions. All functions accept a single composition (1-d
+array) or a stack of compositions (2-d array, one row per composition). ilr is
+an isometry, <x, y>_a = ilr(x) . ilr(y) (Egozcue et al. 2003), so the model
+works with compositions in ilr coordinates only.
 
 The ilr transformation uses the sequential-binary-partition orthonormal basis:
 coordinate ``i`` (1-based) contrasts part ``i`` against the geometric mean of
@@ -66,48 +67,9 @@ def closure(raw) -> np.ndarray:
     return out
 
 
-def geometric_mean(x) -> np.ndarray | float:
-    """Geometric mean of the parts, (prod x_i)^(1/d)."""
-    arr = _check_composition(x)
-    return np.exp(np.mean(np.log(arr), axis=-1))
-
-
 def _clr(arr: np.ndarray) -> np.ndarray:
     logs = np.log(arr)
     return logs - logs.mean(axis=-1, keepdims=True)
-
-
-def aitchison_inner(x, y) -> np.ndarray | float:
-    """Aitchison inner product: sum_i log(x_i/g(x)) * log(y_i/g(y))."""
-    ax = _check_composition(x, "x")
-    ay = _check_composition(y, "y")
-    if ax.shape[-1] != ay.shape[-1]:
-        raise ValueError(f"dimension mismatch: {ax.shape[-1]} vs {ay.shape[-1]} parts")
-    return np.sum(_clr(ax) * _clr(ay), axis=-1)
-
-
-def aitchison_norm(x) -> np.ndarray | float:
-    """Aitchison norm; zero exactly at the neutral element (1/d, ..., 1/d)."""
-    arr = _check_composition(x)
-    return np.sqrt(np.sum(_clr(arr) ** 2, axis=-1))
-
-
-def perturb(x, y) -> np.ndarray:
-    """Simplex addition: closure of the componentwise product."""
-    ax = _check_composition(x, "x")
-    ay = _check_composition(y, "y")
-    if ax.shape[-1] != ay.shape[-1]:
-        raise ValueError(f"dimension mismatch: {ax.shape[-1]} vs {ay.shape[-1]} parts")
-    return closure(ax * ay)
-
-
-def power(x, a: float) -> np.ndarray:
-    """Simplex scalar multiplication: closure of componentwise x_i**a."""
-    arr = _check_composition(x)
-    # Exponentiate in log space so large |a| cannot overflow before closure.
-    logs = a * np.log(arr)
-    logs = logs - logs.max(axis=-1, keepdims=True)
-    return closure(np.exp(logs))
 
 
 def ilr_basis(n_parts: int) -> np.ndarray:

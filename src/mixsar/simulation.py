@@ -35,7 +35,7 @@ import numpy as np
 from . import geometry
 from .functional import CurveSample, trapezoid_weights
 from .model import fit
-from .spatial import SpatialWeights, rook_lattice, solve_system
+from .spatial import SpatialWeights, _matrix_of, rook_lattice, solve_system
 
 N_SERIES_TERMS = 50
 TRUE_SCALAR_COEF = 1.0
@@ -153,9 +153,10 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
     coefficient curve, the Aitchison inner product of each composition with
     the compositional coefficient (computed in ilr coordinates), and the
     scalar terms. Absent covariate blocks contribute nothing; the intercept
-    of the generating process is zero.
+    of the generating process is zero. ``weights`` is an array or a
+    :class:`~mixsar.spatial.SpatialWeights`.
     """
-    n = np.shape(weights)[0]
+    n = np.shape(_matrix_of(weights))[0]
     signal = np.zeros(n)
     if curves is not None:
         if curves.n_subjects != n:
@@ -169,22 +170,24 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
     return solve_system(rho, weights, signal + noise_scale * rng.standard_normal(n))
 
 
-def _replicate(config: SimConfig, weights: SpatialWeights, rep: int) -> tuple:
+def _replicate(config: SimConfig, weights: SpatialWeights, truth: tuple, rep: int) -> tuple:
     """One seeded replication on the setting's lattice: generate, fit, and score.
 
-    Returns one flat row, ``(rho_hat, beta_scalar_hat, mse_beta_t, *theta_hat)``:
-    the lag estimate, the scalar slope, the coefficient-curve MSE, then the
-    d-1 ilr coordinates of the compositional coefficient.
+    ``truth`` is ``(grid, beta_grid, eval_pts, beta_eval)``: the setting's
+    grid and MSE points with the true coefficient curve on each. Returns one
+    flat row, ``(rho_hat, beta_scalar_hat, mse_beta_t, *theta_hat)``: the lag
+    estimate, the scalar slope, the coefficient-curve MSE, then the d-1 ilr
+    coordinates of the compositional coefficient.
     """
+    grid, beta_grid, eval_pts, beta_eval = truth
     rng = np.random.default_rng([config.seed, rep])
     n = config.n_units
-    grid = np.linspace(0.0, 1.0, config.grid_size)
 
     curves = gen_functional(n, config.alpha_decay, grid, rng)
     comps = gen_composition(n, COMP_MEAN, COMP_ILR_COV, rng)
     scalars = rng.normal(SCALAR_MEAN, SCALAR_SD, size=n)
     y = gen_response(
-        weights.matrix, config.rho_true, curves, true_beta_t(grid), comps, TRUE_COMP_COEF,
+        weights, config.rho_true, curves, beta_grid, comps, TRUE_COMP_COEF,
         scalars, TRUE_SCALAR_COEF, config.noise_scale, rng,
     )
     try:
@@ -194,10 +197,8 @@ def _replicate(config: SimConfig, weights: SpatialWeights, rep: int) -> tuple:
             f"replication {rep} failed (sub-seed [{config.seed}, {rep}]): {exc}"
         ) from exc
 
-    # coefficient-curve MSE on cell midpoints, away from the cosine extrema
-    eval_pts = (np.arange(MSE_POINTS) + 0.5) / MSE_POINTS
     beta_hat = np.interp(eval_pts, grid, res.beta_t_hat)
-    mse_beta_t = float(np.mean((beta_hat - true_beta_t(eval_pts)) ** 2))
+    mse_beta_t = float(np.mean((beta_hat - beta_eval) ** 2))
 
     return (res.rho_hat, float(res.beta_scalar_hat[0]), mse_beta_t, *res.theta_hat)
 
@@ -215,11 +216,14 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimReport:
     t0 = time.perf_counter()
     weights = SpatialWeights(rook_lattice(config.n_rows, config.n_cols))
     weights.eigenvalues  # decompose W here, once: the workers' copies carry the result
+    grid = np.linspace(0.0, 1.0, config.grid_size)
+    eval_pts = (np.arange(MSE_POINTS) + 0.5) / MSE_POINTS  # cell midpoints, off the cosine extrema
+    truth = (grid, true_beta_t(grid), eval_pts, true_beta_t(eval_pts))
+    task = partial(_replicate, config, weights, truth)
     reps = range(config.n_reps)
     if workers == 1:
-        records = [_replicate(config, weights, r) for r in reps]
+        records = [task(r) for r in reps]
     else:
-        task = partial(_replicate, config, weights)
         with ProcessPoolExecutor(max_workers=min(workers, config.n_reps)) as pool:
             records = list(pool.map(task, reps, chunksize=math.ceil(config.n_reps / workers)))
 

@@ -149,11 +149,16 @@ def knn_inverse_distance(locations, k: int, cutoff: float, metric: str = "euclid
     return row_normalize(w)
 
 
+def _matrix_of(w):
+    """The array behind weights given as an array or a :class:`SpatialWeights`."""
+    return w.matrix if isinstance(w, SpatialWeights) else w
+
+
 def _system_matrix(rho: float, w) -> np.ndarray:
-    """I - rho W, for square W and |rho| < 1."""
+    """I - rho W, for square W (an array or a :class:`SpatialWeights`) and |rho| < 1."""
     if not abs(rho) < 1.0:
         raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-    w = np.asarray(w, dtype=float)
+    w = np.asarray(_matrix_of(w), dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
     a = -rho * w
@@ -185,7 +190,7 @@ def log_det_system(rho: float, w) -> float:
 
 
 def solve_system(rho: float, w, rhs) -> np.ndarray:
-    """Solve (I - rho W) x = rhs.
+    """Solve (I - rho W) x = rhs, for W an array or a :class:`SpatialWeights`.
 
     Raises ``ValueError`` naming the non-finite entries of W, and
     :class:`NumericalError` if the system is singular or the solution is not

@@ -15,7 +15,6 @@ from mixsar.functional import (
     derivative_curves,
     empirical_covariance,
     fpca,
-    l2_inner,
     pve_truncate,
     scores,
     smooth_curves,
@@ -193,31 +192,18 @@ def test_derivative_needs_three_points():
 # -- quadrature and inner products ----------------------------------------------
 
 def test_l2_inner_of_ones_is_one():
-    grid = np.linspace(0, 1, 37)
-    w = trapezoid_weights(grid)
-    assert l2_inner(np.ones(37), np.ones(37), w) == pytest.approx(1.0, abs=1e-14)
+    w = trapezoid_weights(np.linspace(0, 1, 37))
+    assert np.sum(w) == pytest.approx(1.0, abs=1e-14)  # <1, 1> on [0, 1]
 
 
 def test_l2_inner_cosine_orthonormality():
     grid = np.linspace(0, 1, 200)
     w = trapezoid_weights(grid)
-    for j in range(1, 5):
-        for k in range(1, 5):
-            val = l2_inner(
-                np.sqrt(2) * np.cos(j * np.pi * grid), np.sqrt(2) * np.cos(k * np.pi * grid), w
-            )
+    phi = np.sqrt(2) * np.cos(np.outer(np.arange(1, 5), np.pi * grid))
+    for j in range(4):
+        for k in range(4):
+            val = np.sum(w * phi[j] * phi[k])
             assert val == pytest.approx(1.0 if j == k else 0.0, abs=1e-3)
-
-
-def test_l2_inner_symmetry_and_length_check():
-    rng = np.random.default_rng(165)
-    grid = np.linspace(0, 1, 30)
-    w = trapezoid_weights(grid)
-    for _ in range(200):
-        f, g = rng.normal(size=30), rng.normal(size=30)
-        assert l2_inner(f, g, w) == l2_inner(g, f, w)
-    with pytest.raises(ValueError):
-        l2_inner(f, g[:-1], w)
 
 
 def test_trapezoid_weights_integrate_polynomials():
@@ -259,8 +245,8 @@ def test_fpca_rank_one_recovery():
     basis = fpca(CurveSample(grid, np.outer(coeffs, phi)))
     lead = basis.eigenfunctions[0]
     err = min(
-        np.sqrt(l2_inner(lead - phi, lead - phi, w)),
-        np.sqrt(l2_inner(lead + phi, lead + phi, w)),
+        np.sqrt(np.sum(w * (lead - phi) ** 2)),
+        np.sqrt(np.sum(w * (lead + phi) ** 2)),
     )
     assert err < 1e-3
     assert np.all(basis.eigenvalues[1:] < 1e-8)
@@ -356,7 +342,7 @@ def test_scores_parseval():
     w = trapezoid_weights(grid)
     centered = sample.values - basis.mean_curve
     for i in range(8):
-        norm2 = l2_inner(centered[i], centered[i], w)
+        norm2 = np.sum(w * centered[i] * centered[i])
         assert np.sum(sc[i] ** 2) == pytest.approx(norm2, rel=1e-6)
 
 
@@ -384,6 +370,9 @@ def fpca_basis(**fields):
                  "need at least 2 observation points", id="raw-one-point"),
     pytest.param(lambda: RawCurveObservations([0.0, 1.5], [[1.0, 2.0]]),
                  "observation points must lie in [0, 1]", id="raw-outside-unit-interval"),
+    pytest.param(lambda: RawCurveObservations([0.0, np.inf, 1.0], np.ones((1, 3))),
+                 "observation points must be finite, got [inf] at indices [1]",
+                 id="raw-non-finite-time"),
     pytest.param(lambda: RawCurveObservations([0.0, 1.0], [[1.0, np.nan]]),
                  "curve values must be finite", id="raw-non-finite"),
     pytest.param(lambda: RawCurveObservations([0.0, 0.5, 0.5], [[1.0, 2.0, 3.0]]),
@@ -394,6 +383,9 @@ def fpca_basis(**fields):
                  "grid must be strictly increasing", id="sample-repeat"),
     pytest.param(lambda: CurveSample([-0.5, 1.0], [[1.0, 2.0]]), "grid must lie in [0, 1]",
                  id="sample-outside-unit-interval"),
+    pytest.param(lambda: CurveSample([np.nan, 0.5, -np.inf], np.ones((1, 3))),
+                 "grid points must be finite, got [nan, -inf] at indices [0, 2]",
+                 id="sample-non-finite-grid"),
     pytest.param(lambda: CurveSample(GRID3, [[1.0, 2.0]]),
                  "values have 2 columns for a 3-point grid", id="sample-width"),
     pytest.param(lambda: CurveSample(GRID3, [[1.0, np.inf, 2.0]]),
@@ -414,7 +406,15 @@ def fpca_basis(**fields):
                  "eigenvalues must be a non-empty non-negative vector", id="pve-negative"),
     pytest.param(lambda: scores(CurveSample([0.0, 0.4, 1.0], np.ones((2, 3))), fpca_basis(), 1),
                  "sample grid does not match the basis grid", id="scores-grid"),
+    pytest.param(lambda: fit(np.arange(4.0), CurveSample([0.0, 0.3, np.nan, 1.0], np.eye(4)),
+                             weights=rook_lattice(2, 2)),
+                 "grid points must be finite, got [nan] at indices [2]", id="fit-sample-nan"),
+    pytest.param(lambda: fit(np.arange(4.0), RawCurveObservations([0.0, 0.3, np.nan, 1.0],
+                                                                  np.eye(4)),
+                             weights=rook_lattice(2, 2)),
+                 "observation points must be finite, got [nan] at indices [2]", id="fit-raw-nan"),
 ])
 def test_functional_input_checks(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+

@@ -1,4 +1,4 @@
-"""Aitchison geometry: closure, inner product, norm, perturbation, powering, ilr."""
+"""Aitchison geometry: closure, ilr and its inverse, and ilr as a linear isometry."""
 
 import math
 import re
@@ -8,23 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixsar.geometry import (
-    aitchison_inner,
-    aitchison_norm,
-    closure,
-    geometric_mean,
-    ilr,
-    ilr_basis,
-    ilr_inv,
-    perturb,
-    power,
-)
+from mixsar.geometry import closure, ilr, ilr_basis, ilr_inv
 
 RNG = np.random.default_rng(20240811)
 
 
 def random_composition(d, size=None):
     return closure(RNG.dirichlet(np.ones(d) * 2.0, size=size) + 1e-9)
+
+
+def clr_inner(x, y):
+    """Aitchison inner product, sum_i log(x_i/g(x)) log(y_i/g(y)), by its definition."""
+    lx, ly = np.log(x), np.log(y)
+    return float(np.sum((lx - lx.mean()) * (ly - ly.mean())))
 
 
 compositions = st.integers(min_value=2, max_value=8).flatmap(
@@ -59,97 +55,26 @@ def test_closure_rejects_bad_input():
         closure([1.0, np.inf])
 
 
-# -- geometric mean -----------------------------------------------------------
-
-def test_geometric_mean_constant():
-    assert geometric_mean([1 / 3, 1 / 3, 1 / 3]) == pytest.approx(1 / 3)
-
-
-def test_geometric_mean_direct_product_root():
-    # independent evaluation: (prod x_i)^(1/d)
-    assert geometric_mean([0.25, 0.75]) == pytest.approx(math.sqrt(0.25 * 0.75), abs=1e-12)
-    assert geometric_mean([1 / 6, 1 / 3, 1 / 2]) == pytest.approx(
-        (1 / 6 * 1 / 3 * 1 / 2) ** (1 / 3), abs=1e-12
-    )
-
-
-# -- inner product and norm ---------------------------------------------------
-
-def test_inner_neutral_is_zero():
-    for d in (2, 3, 5):
-        y = random_composition(d)
-        assert aitchison_inner(np.full(d, 1 / d), y) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_inner_matches_norm_squared():
-    x = random_composition(4)
-    assert aitchison_inner(x, x) == pytest.approx(aitchison_norm(x) ** 2, abs=1e-12)
-
+# -- ilr is a linear isometry ---------------------------------------------------
 
 def test_inner_isometry_against_ilr():
     for d in (2, 3, 4, 7):
         x, y = random_composition(d), random_composition(d)
-        assert aitchison_inner(x, y) == pytest.approx(float(np.dot(ilr(x), ilr(y))), abs=1e-10)
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(ValueError):
-        aitchison_inner([0.5, 0.5], [1 / 3, 1 / 3, 1 / 3])
-
-
-def test_norm_neutral_zero():
-    assert aitchison_norm([0.25, 0.25, 0.25, 0.25]) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_norm_equals_ilr_euclidean():
-    x = random_composition(5)
-    assert aitchison_norm(x) == pytest.approx(float(np.linalg.norm(ilr(x))), abs=1e-12)
+        assert clr_inner(x, y) == pytest.approx(float(np.dot(ilr(x), ilr(y))), abs=1e-10)
 
 
 def test_norm_brute_force_clr():
     x = np.array([1 / 6, 1 / 3, 1 / 2])
     g = (x[0] * x[1] * x[2]) ** (1 / 3)
     expected = math.sqrt(sum(math.log(p / g) ** 2 for p in x))
-    assert aitchison_norm(x) == pytest.approx(expected, abs=1e-12)
-
-
-# -- perturbation and powering ------------------------------------------------
-
-def test_perturb_identity_element():
-    x = random_composition(4)
-    np.testing.assert_allclose(perturb(x, np.full(4, 0.25)), x, atol=1e-14)
-
-
-def test_perturb_inverse_pair():
-    np.testing.assert_allclose(perturb([0.25, 0.75], [0.75, 0.25]), [0.5, 0.5], atol=1e-14)
-
-
-def test_perturb_unit_effect_alteration():
-    # the alteration along beta with unit effect on <x, beta> is the power
-    # by 1/|beta|^2; the unit vector itself adds |beta|
-    for d in (3, 4):
-        x, beta = random_composition(d), random_composition(d)
-        nrm = aitchison_norm(beta)
-        shifted = perturb(x, power(beta, 1.0 / nrm**2))
-        assert aitchison_inner(shifted, beta) == pytest.approx(
-            aitchison_inner(x, beta) + 1.0, abs=1e-10
-        )
-        unit = power(beta, 1.0 / nrm)
-        assert aitchison_inner(perturb(x, unit), beta) == pytest.approx(
-            aitchison_inner(x, beta) + nrm, abs=1e-10
-        )
-
-
-def test_power_zero_and_one():
-    x = random_composition(3)
-    np.testing.assert_allclose(power(x, 0.0), [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
-    np.testing.assert_allclose(power(x, 1.0), x, atol=1e-14)
+    assert float(np.linalg.norm(ilr(x))) == pytest.approx(expected, abs=1e-12)
 
 
 def test_power_linearity_under_ilr():
+    # powering, closure of x_i**a, is scalar multiplication in ilr coordinates
     x = random_composition(5)
     for a in (-2.5, 0.3, 4.0):
-        np.testing.assert_allclose(ilr(power(x, a)), a * ilr(x), atol=1e-10)
+        np.testing.assert_allclose(ilr(closure(x**a)), a * ilr(x), atol=1e-10)
 
 
 # -- ilr and its inverse ------------------------------------------------------
@@ -242,7 +167,7 @@ def test_property_roundtrip(x):
 @settings(max_examples=200, deadline=None)
 @given(compositions, st.floats(min_value=-5, max_value=5))
 def test_property_power_linearity(x, a):
-    np.testing.assert_allclose(ilr(power(x, a)), a * ilr(x), atol=1e-10)
+    np.testing.assert_allclose(ilr(closure(x**a)), a * ilr(x), atol=1e-10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,8 +177,9 @@ def test_property_perturb_additivity_and_isometry(data):
     parts = st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=d, max_size=d)
     x = closure(np.array(data.draw(parts)))
     y = closure(np.array(data.draw(parts)))
-    np.testing.assert_allclose(ilr(perturb(x, y)), ilr(x) + ilr(y), atol=1e-10)
-    assert aitchison_inner(x, y) == pytest.approx(float(np.dot(ilr(x), ilr(y))), abs=1e-10)
+    # perturbation, closure of x_i * y_i, is addition in ilr coordinates
+    np.testing.assert_allclose(ilr(closure(x * y)), ilr(x) + ilr(y), atol=1e-10)
+    assert clr_inner(x, y) == pytest.approx(float(np.dot(ilr(x), ilr(y))), abs=1e-10)
 
 
 # -- input checks ---------------------------------------------------------------------
@@ -261,14 +187,12 @@ def test_property_perturb_additivity_and_isometry(data):
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: closure(np.ones((2, 2, 2))),
                  "raw parts must be a 1-d or 2-d array, got ndim=3", id="closure-ndim"),
-    pytest.param(lambda: geometric_mean([0.5, 0.0, 0.5]),
+    pytest.param(lambda: ilr([0.5, 0.0, 0.5]),
                  "composition has non-positive parts", id="composition-zero-part"),
-    pytest.param(lambda: geometric_mean([0.3, 0.3]),
+    pytest.param(lambda: ilr([0.3, 0.3]),
                  "composition parts do not sum to 1 (max deviation 4.000e-01)", id="composition-sum"),
     pytest.param(lambda: closure([1e-310, 1.0]), "closure produced a part below 1e-300",
                  id="closure-underflow"),
-    pytest.param(lambda: perturb([0.5, 0.5], [0.2, 0.3, 0.5]),
-                 "dimension mismatch: 2 vs 3 parts", id="perturb-dimensions"),
     pytest.param(lambda: ilr_basis(1), "need at least 2 parts", id="basis-one-part"),
     pytest.param(lambda: ilr_inv(np.zeros((1, 1, 2))),
                  "ilr coordinates must be 1-d or 2-d, got ndim=3", id="ilr-inv-ndim"),

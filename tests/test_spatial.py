@@ -414,6 +414,19 @@ def test_solve_system_matches_dense_inverse():
         np.testing.assert_allclose(solve_system(rho, w, rhs[:, 0]), expected[:, 0], atol=1e-12)
 
 
+@pytest.mark.parametrize("w", [rook_lattice(4, 5), random_weights(12, np.random.default_rng(5))],
+                         ids=["rook", "asymmetric"])
+def test_solves_take_spatial_weights_and_match_the_array_bitwise(w):
+    rhs = np.random.default_rng(8).normal(size=w.shape[0])
+    obj = SpatialWeights(w)
+    assert np.array_equal(solve_system(0.3, obj, rhs), solve_system(0.3, w, rhs))
+
+    def draw(weights):
+        return gen_response(weights, 0.3, None, None, None, None, rhs, 1.0, 0.5,
+                            np.random.default_rng(9))
+    assert np.array_equal(draw(obj), draw(w))
+
+
 def test_solve_system_leaves_weights_untouched():
     w = random_weights(6)
     before = w.copy()
