@@ -36,9 +36,8 @@ from .functional import (
     scores,
     smooth_curves,
 )
-from .spatial import MoranReport, SpatialWeights, log_det_system, morans_i, solve_system
+from .spatial import RHO_BOUND, MoranReport, SpatialWeights, log_det_system, morans_i, solve_system
 
-RHO_BOUND = 0.999
 _RHO_GRID_POINTS = 201
 
 
@@ -47,7 +46,8 @@ class MixedDesign:
     """Response, stacked regressor matrix, and spatial weights for one fit.
 
     ``blocks`` maps block names ("intercept", "fpc", "ilr", "scalar") to
-    column slices of Z; absent covariate types simply have no block. Wy and
+    column slices of Z; absent covariate types simply have no block, and a
+    block that adds less than full column rank is named at construction. Wy and
     the design's profile likelihood, which takes it, are built on first use
     and then shared; ``residuals`` is the one formula for y - rho Wy - Z delta.
     """
@@ -57,6 +57,13 @@ class MixedDesign:
     weights: SpatialWeights
     column_labels: tuple[str, ...]
     blocks: dict[str, slice]
+
+    def __post_init__(self):
+        if self.Z.shape[1] > self.n:
+            raise ValueError(f"{self.Z.shape[1]} regressors for only {self.n} observations")
+        for name, span in self.blocks.items():
+            if np.linalg.matrix_rank(self.Z[:, :span.stop]) < span.stop:
+                raise ValueError(f"design is rank deficient at block '{name}'")
 
     @property
     def n(self) -> int:
@@ -115,8 +122,8 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
 
     ``weights`` is a :class:`~mixsar.spatial.SpatialWeights`, whose eigenvalues
     the design then shares, or a row-stochastic ``(n, n)`` array with no
-    isolated units, wrapped in a fresh one. Verifies consistent row counts and
-    that every block adds full column rank; a deficient block is named.
+    isolated units, wrapped in a fresh one. Verifies consistent row counts; the
+    design checks its rank.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = y.size
@@ -124,7 +131,7 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
         raise ValueError("response contains non-finite values")
     if not isinstance(weights, SpatialWeights):
         weights = SpatialWeights(weights)
-    m = weights.matrix.shape[0]
+    m = len(weights)
     if m != n:
         raise ValueError(f"weights are {m}x{m} but response has {n} rows")
 
@@ -155,31 +162,25 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
     if scalars is not None and np.size(scalars):
         add_block("scalar", scalars, "x", scalar_labels)
 
-    z = np.hstack(parts)
-    if z.shape[1] > n:
-        raise ValueError(f"{z.shape[1]} regressors for only {n} observations")
-    for name, span in blocks.items():
-        if np.linalg.matrix_rank(z[:, :span.stop]) < span.stop:
-            raise ValueError(f"design is rank deficient at block '{name}'")
-    return MixedDesign(y=y, Z=z, weights=weights, column_labels=tuple(labels), blocks=blocks)
+    return MixedDesign(y=y, Z=np.hstack(parts), weights=weights, column_labels=tuple(labels),
+                       blocks=blocks)
 
 
 class _Profile:
     """The profile likelihood of one design, O(n) per rho.
 
-    Least squares of y and of Wy, which it takes from the design, on Z, done
-    once, give delta(rho) = d_y - rho d_w and residuals e_y - rho e_w, whose
-    mean square, sigma2(rho), stays >= 0 even where a noise-free fit drives it
-    to zero. It keeps n and the weights, not the design, so a design caching it
-    forms no cycle.
+    Least squares of y and of Wy, which it takes from the design, on the full
+    rank Z, done once, give delta(rho) = d_y - rho d_w and residuals e_y - rho
+    e_w, whose mean square, sigma2(rho), stays >= 0 even where a noise-free fit
+    drives it to zero. It keeps n and the weights, whose spectrum gives the
+    log-det and score traces, not the design, so caching it forms no cycle.
     """
 
     def __init__(self, y: np.ndarray, wy: np.ndarray, z: np.ndarray, weights: SpatialWeights):
         self.n = y.size
         self.weights = weights
-        self.wy = wy
-        self.d_y = _solve_ls(z, y)
-        self.d_w = _solve_ls(z, wy)
+        self.d_y = np.linalg.lstsq(z, y, rcond=None)[0]
+        self.d_w = np.linalg.lstsq(z, wy, rcond=None)[0]
         self.e_y = y - z @ self.d_y
         self.e_w = wy - z @ self.d_w
 
@@ -207,16 +208,9 @@ class _Profile:
         sigma2 -> 0), and f' = -e_w'e_w + (2/n) e(rho)'e_w tr G - sigma2 tr G^2."""
         e = self.residuals(rho)
         e_ew, s2 = float(e @ self.e_w), float(e @ e) / self.n
-        tr_g, tr_g2 = _trace_g(self.weights, rho, 1), _trace_g(self.weights, rho, 2)
+        tr_g, tr_g2 = self.weights.traces(rho)
         slope = 2.0 * e_ew * tr_g / self.n - float(self.e_w @ self.e_w) - s2 * tr_g2
         return e_ew - s2 * tr_g, slope
-
-
-def _solve_ls(z: np.ndarray, target: np.ndarray) -> np.ndarray:
-    coef, _, rank, _ = np.linalg.lstsq(z, target, rcond=None)
-    if rank < z.shape[1]:
-        raise ValueError("design matrix is rank deficient")
-    return coef
 
 
 def _profile_at(rho: float, design: MixedDesign) -> _Profile:
@@ -253,14 +247,8 @@ def concentrated_loglik(rho: float, design: MixedDesign) -> float:
     return _profile_at(rho, design).loglik(rho)
 
 
-def _trace_g(weights: SpatialWeights, rho: float, power: int) -> float:
-    """tr(G^power) for G = (I - rho W)^-1 W, from W's eigenvalues."""
-    lam = weights.eigenvalues
-    return float(np.sum((lam / (1.0 - rho * lam)) ** power).real)
-
-
 def optimize_rho(design: MixedDesign) -> float:
-    """Maximize the concentrated log-likelihood over [-0.999, 0.999].
+    """Maximize the concentrated log-likelihood over [-RHO_BOUND, RHO_BOUND].
 
     A 201-point grid locates the basin, guarding against local maxima; then
     safeguarded Newton (Press et al., Numerical Recipes, sec. 9.4) on the score
@@ -400,7 +388,7 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     beta_t = b_hat @ basis.eigenfunctions[:n_components] if basis is not None else None
     beta_comp = geometry.ilr_inv(theta) if theta.size else None
 
-    fitted = solve_system(rho_hat, design.W, design.Z @ delta)
+    fitted = solve_system(rho_hat, design.weights, design.Z @ delta)
     sse = float(np.sum((design.y - fitted) ** 2))
     sst = float(np.sum((design.y - design.y.mean()) ** 2))
     r_squared = 1.0 - sse / sst if sst > 0 else float("nan")
@@ -447,7 +435,7 @@ def wald_std_errors(design: MixedDesign, result: FitResult):
 
     hess = np.empty((params.size, params.size))
     hess[:-1, :-1] = -(x.T @ x) / s2
-    hess[0, 0] -= _trace_g(design.weights, rho, 2)
+    hess[0, 0] -= design.weights.traces(rho)[1]
     hess[:-1, -1] = hess[-1, :-1] = -(x.T @ e) / s2**2
     hess[-1, -1] = design.n / (2.0 * s2**2) - (e @ e) / s2**3
 

@@ -14,8 +14,8 @@ coefficient curve ``0.3 phi_1 + sum_{j>=2} 4 (-1)^(j+1) j^-2 phi_j``, true
 compositional coefficient (4/9, 2/9, 1/3), and true scalar slope 1.
 
 W is built once per setting, as one :class:`~mixsar.spatial.SpatialWeights`
-that the replications' fits share; its eigenvalues, which give each
-ln|I - rho W|, are computed before any worker starts and travel with W. Each
+that the replications' fits share; it is decomposed once, by the first fit or
+the first copy sent to a worker, and every copy carries its eigenvalues. Each
 replication derives an independent generator from ``(seed, rep)``, so results
 are bit-identical for any worker count and aggregation happens in replication
 order. Reported spreads are population (ddof=0) standard deviations, which
@@ -35,7 +35,7 @@ import numpy as np
 from . import geometry
 from .functional import CurveSample, trapezoid_weights
 from .model import fit
-from .spatial import SpatialWeights, _matrix_of, rook_lattice, solve_system
+from .spatial import SpatialWeights, rook_lattice, solve_system
 
 N_SERIES_TERMS = 50
 TRUE_SCALAR_COEF = 1.0
@@ -156,17 +156,21 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
     of the generating process is zero. ``weights`` is an array or a
     :class:`~mixsar.spatial.SpatialWeights`.
     """
-    n = np.shape(_matrix_of(weights))[0]
-    signal = np.zeros(n)
+    n = len(weights)
+    terms = {}
     if curves is not None:
-        if curves.n_subjects != n:
-            raise ValueError("curve count does not match the weight matrix")
         wq = trapezoid_weights(curves.grid)
-        signal += (curves.values * wq) @ np.asarray(beta_t, dtype=float)
+        terms["curve"] = (curves.values * wq) @ np.asarray(beta_t, dtype=float)
     if comps is not None:
-        signal += geometry.ilr(comps) @ geometry.ilr(beta_comp)
+        terms["composition"] = geometry.ilr(comps) @ geometry.ilr(beta_comp)
     if scalars is not None:
-        signal += np.asarray(scalars, dtype=float) * float(beta_scalar)
+        terms["scalar"] = np.asarray(scalars, dtype=float) * float(beta_scalar)
+    signal = np.zeros(n)
+    for name, term in terms.items():
+        if np.shape(term) != (n,):
+            raise ValueError(f"{name} count does not match the weight matrix: {name} term has "
+                             f"shape {np.shape(term)}, expected ({n},)")
+        signal += term
     return solve_system(rho, weights, signal + noise_scale * rng.standard_normal(n))
 
 
@@ -215,7 +219,6 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimReport:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     t0 = time.perf_counter()
     weights = SpatialWeights(rook_lattice(config.n_rows, config.n_cols))
-    weights.eigenvalues  # decompose W here, once: the workers' copies carry the result
     grid = np.linspace(0.0, 1.0, config.grid_size)
     eval_pts = (np.arange(MSE_POINTS) + 0.5) / MSE_POINTS  # cell midpoints, off the cosine extrema
     truth = (grid, true_beta_t(grid), eval_pts, true_beta_t(eval_pts))

@@ -4,9 +4,10 @@ Weight matrices are dense ``(n, n)`` float arrays with zero diagonals and row
 sums of 1 (all-zero rows mark isolated units and are rejected by consumers
 that need a fully connected system). Constructors here always return
 row-normalized matrices. Weights travel either as such arrays or as a
-:class:`SpatialWeights`: one validated, fully connected matrix and its
-eigenvalues, computed once for all fits that share it, which make each
-ln|I - rho W| O(n) (Ord 1975). This module owns I - rho W: one builder,
+:class:`SpatialWeights`: one validated, fully connected matrix that answers
+what fits ask of W: its unit count, its eigenvalues, computed once and carried
+by every copy, which make each ln|I - rho W| O(n) (Ord 1975), and the traces
+of (I - rho W)^-1 W and its square. This module owns I - rho W: one builder,
 which checks |rho| < 1, serves the dense ``log_det_system`` and ``solve_system``.
 """
 
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+
+RHO_BOUND = 0.999
 
 
 @dataclass(frozen=True)
@@ -149,16 +152,11 @@ def knn_inverse_distance(locations, k: int, cutoff: float, metric: str = "euclid
     return row_normalize(w)
 
 
-def _matrix_of(w):
-    """The array behind weights given as an array or a :class:`SpatialWeights`."""
-    return w.matrix if isinstance(w, SpatialWeights) else w
-
-
 def _system_matrix(rho: float, w) -> np.ndarray:
     """I - rho W, for square W (an array or a :class:`SpatialWeights`) and |rho| < 1."""
     if not abs(rho) < 1.0:
         raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-    w = np.asarray(_matrix_of(w), dtype=float)
+    w = np.asarray(w.matrix if isinstance(w, SpatialWeights) else w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
     a = -rho * w
@@ -192,11 +190,13 @@ def log_det_system(rho: float, w) -> float:
 def solve_system(rho: float, w, rhs) -> np.ndarray:
     """Solve (I - rho W) x = rhs, for W an array or a :class:`SpatialWeights`.
 
-    Raises ``ValueError`` naming the non-finite entries of W, and
-    :class:`NumericalError` if the system is singular or the solution is not
-    finite.
+    Raises ``ValueError`` naming an rhs without n rows or the non-finite
+    entries of W, and :class:`NumericalError` if the system is singular or the
+    solution is not finite.
     """
     a = _system_matrix(rho, w)
+    if np.shape(rhs)[:1] != a.shape[:1]:
+        raise ValueError(f"right-hand side has shape {np.shape(rhs)} but W has {a.shape}")
     bad = np.argwhere(~np.isfinite(a))
     if bad.size:
         raise ValueError(f"weight matrix has {len(bad)} non-finite entries, at (row, col) "
@@ -215,23 +215,25 @@ def _spectrum(w: np.ndarray) -> np.ndarray:
     (as D^-1 A is for symmetric A), else ``eigvals(W)``. A closed walk of S
     weighs the geometric mean of a walk of W and its reverse, so tr(S^k) <=
     tr(W^k): ln|I - rho S| - ln|I - rho W| grows with rho > 0, and one dense
-    check at 0.999 bounds it for every |rho| <= 0.999."""
+    check at RHO_BOUND bounds it for every |rho| <= RHO_BOUND."""
     if np.array_equal(w > 0, w.T > 0):
         lam = np.linalg.eigvalsh(np.sqrt(w * w.T))
-        gap = np.sum(np.log1p(-0.999 * lam)) - np.linalg.slogdet(_system_matrix(0.999, w))[1]
+        gap = (np.sum(np.log1p(-RHO_BOUND * lam))
+               - np.linalg.slogdet(_system_matrix(RHO_BOUND, w))[1])
         if abs(gap) <= 1e-10 * w.shape[0]:
             return lam
     return np.linalg.eigvals(w)
 
 
 class SpatialWeights:
-    """One fully connected weight matrix and, from first use, its eigenvalues.
+    """One fully connected weight matrix, which answers every spectral question.
 
     ``matrix`` is what ``validate_weights(w, allow_isolated=False)`` returns,
     made read-only; it shares memory with ``w`` when ``w`` already is a float
-    array, so ``w`` must not change afterwards. ``eigenvalues`` (read-only,
-    real or complex) is computed on first use; a pickled copy carries it. The
-    sums over W that Moran's I needs are computed once, with the object.
+    array, so ``w`` must not change afterwards. ``len`` is n. ``eigenvalues``
+    (read-only, real or complex) is computed on first use, ``traces`` comes
+    from it, and a pickled copy carries it. The sums over W that Moran's I
+    needs are computed once, with the object.
     """
 
     def __init__(self, w):
@@ -240,19 +242,26 @@ class SpatialWeights:
         self._eigenvalues = None
         self._moran_sums = _sums_of(self.matrix)
 
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
             self.__setstate__({"_eigenvalues": _spectrum(self.matrix)})
         return self._eigenvalues
 
+    def traces(self, rho: float) -> tuple[float, float]:
+        """tr G and tr G^2 for G = (I - rho W)^-1 W, from the eigenvalues."""
+        g = self.eigenvalues / (1.0 - rho * self.eigenvalues)
+        return float(g.sum().real), float((g * g).sum().real)
+
     def __reduce__(self):
-        return type(self), (self.matrix,), {"_eigenvalues": self._eigenvalues}
+        return type(self), (self.matrix,), {"_eigenvalues": self.eigenvalues}
 
     def __setstate__(self, state):  # also marks freshly computed eigenvalues read-only
         self._eigenvalues = state["_eigenvalues"]
-        if self._eigenvalues is not None:
-            self._eigenvalues.flags.writeable = False
+        self._eigenvalues.flags.writeable = False
 
 
 def _sums_of(w: np.ndarray) -> tuple[float, float, float]:

@@ -53,28 +53,75 @@ def _public_definitions(tree):
             and not node.name.startswith("_")]
 
 
-def _references(node, skip=None):
-    """Names that ``node`` calls, reads as an attribute, imports or subclasses.
-    Annotations and docstrings are not code, and nothing under ``skip`` counts."""
-    found = set()
-    stack = [node]
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,
+           ast.DictComp, ast.GeneratorExp)
+
+
+def _local_bindings(scope):
+    """Names a function, lambda or comprehension binds in its own scope: its
+    arguments or targets, and what its body assigns, defines or imports."""
+    bound = set()
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = scope.args
+        bound.update(a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg] if a)
+        stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        stack = [generator.target for generator in scope.generators]
     while stack:
         node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):  # nested scopes bind their own
+            stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _bare_uses(tree, skip):
+    """Names that a module reads bare where no enclosing function binds them.
+    Annotations and docstrings are not code, and nothing under ``skip`` counts."""
+    found = set()
+    stack = [(tree, frozenset())]
+    while stack:
+        node, shadowed = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            found.add(node.func.id)
-        elif isinstance(node, ast.ClassDef):
-            found.update(base.id for base in node.bases if isinstance(base, ast.Name))
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.name)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in shadowed:
+                found.add(node.id)
+        if isinstance(node, _SCOPES):
+            shadowed = shadowed | _local_bindings(node)
         for field, child in ast.iter_fields(node):
             if field in ("annotation", "returns"):
                 continue
-            stack.extend(c for c in (child if isinstance(child, list) else [child])
+            stack.extend((c, shadowed) for c in (child if isinstance(child, list) else [child])
                          if isinstance(c, ast.AST))
+    return found
+
+
+def _uses_from(tree, module):
+    """Names of ``module`` that another module's tree imports with ``from .module
+    import name``, or reads as an attribute of a name bound by ``from . import
+    module``; the absolute forms through ``mixsar`` count alike."""
+    found, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = ".".join(filter(None, ("mixsar" if node.level else "", node.module)))
+            for alias in node.names:
+                if source == f"mixsar.{module}":
+                    found.add(alias.name)
+                elif source == "mixsar" and alias.name == module:
+                    aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.add(node.attr)
     return found
 
 
@@ -84,8 +131,10 @@ def test_every_public_name_is_declared_or_used():
                for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
     unused = []
     for name, tree in modules.items():
+        imported = set().union(*(_uses_from(other, name)
+                                 for stem, other in modules.items() if stem != name))
         for node in _public_definitions(tree):
-            used = set().union(*(_references(t, skip=node) for t in modules.values()))
+            used = imported | _bare_uses(tree, skip=node)
             if node.name not in used and node.name not in mixsar.__all__:
                 unused.append(f"{name}.{node.name}")
     assert not unused, f"public but neither in mixsar.__all__ nor used in src/mixsar: {unused}"

@@ -4,6 +4,7 @@ import math
 import re
 import weakref
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ def test_optimize_rho_keeps_the_grid_point_when_the_root_scores_lower(monkeypatc
     grid = np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS)
     best = grid[int(np.argmax([concentrated_loglik(r, d) for r in grid]))]
     # a score that reads negative everywhere drives the bisection to the bracket's left end
-    monkeypatch.setattr(model, "_trace_g", lambda weights, rho, power: np.inf)
+    monkeypatch.setattr(SpatialWeights, "traces", lambda weights, rho: (np.inf, np.inf))
     assert optimize_rho(d) == best
 
 
@@ -259,7 +260,8 @@ def bisect_rho(design):
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         e = profile.residuals(mid)
-        trace = model._trace_g(profile.weights, mid, 1)
+        lam = profile.weights.eigenvalues
+        trace = float(np.sum(lam / (1.0 - mid * lam)).real)
         ascends = e @ profile.e_w - profile.sigma2(mid) * trace > 0
         lo, hi = (mid, hi) if ascends else (lo, mid)
         mid = 0.5 * (lo + hi)
@@ -335,16 +337,15 @@ def test_optimize_rho_matches_the_bisection_reference_on_random_designs(kind, n_
 
 
 def count_scores(monkeypatch):
-    """Count the score evaluations from here on, as tr G calls; returns their rhos."""
+    """Count the score evaluations from here on, as trace calls; returns their rhos."""
     scores = []
-    trace_g = model._trace_g
+    traces = SpatialWeights.traces
 
-    def counted(weights, rho, power):
-        if power == 1:
-            scores.append(rho)
-        return trace_g(weights, rho, power)
+    def counted(weights, rho):
+        scores.append(rho)
+        return traces(weights, rho)
 
-    monkeypatch.setattr(model, "_trace_g", counted)
+    monkeypatch.setattr(SpatialWeights, "traces", counted)
     return scores
 
 
@@ -541,13 +542,17 @@ def test_fit_loglik_is_full_loglik_at_the_estimates(kind, rho):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_wy_and_the_residual_have_one_home_in_the_design(name, monkeypatch):
-    designs = []
+    designs, products = [], []
     search = model.optimize_rho
     monkeypatch.setattr(model, "optimize_rho",
                         lambda design: designs.append(design) or search(design))
+    wy = MixedDesign.wy
+    counted = cached_property(lambda design: products.append(design) or wy.func(design))
+    counted.__set_name__(MixedDesign, "wy")
+    monkeypatch.setattr(MixedDesign, "wy", counted)
     res = fit(**GOLDEN[name][0]())
     (design,) = designs
-    assert design.wy is design._profile.wy
+    assert products == [design]  # W @ y is formed once per fit, Wald errors included
     rho, delta, s2 = res.rho_hat, res.delta_hat, res.sigma2_hat
     assert np.array_equal(res.residuals, design.residuals(rho, delta))
 
@@ -560,13 +565,13 @@ def test_wy_and_the_residual_have_one_home_in_the_design(name, monkeypatch):
 
 def test_least_squares_run_once_per_target_per_design(monkeypatch):
     calls = []
-    solve_ls = model._solve_ls
+    lstsq = np.linalg.lstsq
 
-    def counted(z, target):
+    def counted(z, target, *args, **kwargs):
         calls.append(target)
-        return solve_ls(z, target)
+        return lstsq(z, target, *args, **kwargs)
 
-    monkeypatch.setattr(model, "_solve_ls", counted)
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
     y, x, w, _ = sar_instance(n_rows=5, n_cols=6, rng=np.random.default_rng(5))
     fit(y, scalars=x, weights=w, std_errors=True)
     assert len(calls) == 2  # y and Wy on Z
@@ -782,7 +787,7 @@ def rank_deficient_design():
     pytest.param(lambda y, x, w: assemble_design(y, scalars=x, weights=w, scalar_labels=["a"]),
                  ValueError, "scalar labels do not match the block width", id="label-count"),
     pytest.param(lambda y, x, w: delta_hat(0.3, rank_deficient_design()),
-                 ValueError, "design matrix is rank deficient", id="profile-rank"),
+                 ValueError, "design is rank deficient at block 'scalar'", id="profile-rank"),
     pytest.param(lambda y, x, w: sigma2_hat(1.0, make_design(y, x, w)),
                  ValueError, "rho must satisfy |rho| < 1, got 1.0", id="profile-rho"),
     pytest.param(lambda y, x, w: fit(y, scalars=x, weights=w, pve=0.0),
@@ -796,3 +801,16 @@ def rank_deficient_design():
 def test_model_input_checks(build, error, message):
     with pytest.raises(error, match=re.escape(message)):
         build(*small_case())
+
+
+def test_a_design_checks_its_rank_at_construction():
+    with pytest.raises(ValueError, match=re.escape("design is rank deficient at block 'scalar'")):
+        rank_deficient_design()
+    y, _, w = small_case()
+    with pytest.raises(ValueError, match="13 regressors for only 12 observations"):
+        MixedDesign(y=y, Z=np.ones((12, 13)), weights=SpatialWeights(w),
+                    column_labels=("intercept",), blocks={"intercept": slice(0, 13)})
+
+
+def test_rho_bound_has_one_definition():
+    assert model.RHO_BOUND is spatial.RHO_BOUND == 0.999

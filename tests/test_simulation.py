@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,17 @@ def test_gen_response_rejects_a_curve_count_other_than_n():
     with pytest.raises(ValueError, match="curve count does not match the weight matrix"):
         gen_response(rook_lattice(2, 2), 0.3, curves, np.zeros(5), None, None, None, None, 1.0,
                      _ZeroNormalRng())
+
+
+@pytest.mark.parametrize("block", ["composition", "scalar"])
+def test_gen_response_names_a_block_without_one_entry_per_unit(block):
+    comps = gen_composition(8, COMP_MEAN, COMP_ILR_COV, np.random.default_rng(6))
+    args = {"composition": (comps, TRUE_COMP_COEF, None, None),
+            "scalar": (None, None, np.ones(8), 1.0)}[block]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{block} count does not match the weight matrix: {block} term has shape (8,), "
+            "expected (9,)")):
+        gen_response(rook_lattice(3, 3), 0.3, None, None, *args, 0.5, np.random.default_rng(0))
 
 
 # -- Monte Carlo driver --------------------------------------------------------------------

@@ -463,6 +463,16 @@ def test_non_square_weights_are_a_shape_error(call):
         call(np.ones((2, 3)))
 
 
+def test_solve_system_names_a_right_hand_side_without_n_rows():
+    w = rook_lattice(3, 3)
+    for rhs in (np.ones(8), np.ones((10, 2)), 1.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"right-hand side has shape {np.shape(rhs)} but W has (9, 9)")):
+            solve_system(0.3, w, rhs)
+    with pytest.raises(ValueError, match=re.escape("shape (8,) but W has (9, 9)")):
+        solve_system(0.3, SpatialWeights(w), np.ones(8))
+
+
 def test_solve_system_lists_at_most_ten_non_finite_weights():
     w = np.full((4, 4), np.inf)
     np.fill_diagonal(w, 0.0)
@@ -558,9 +568,57 @@ def test_spatial_weights_copy_keeps_matrix_read_only_and_carries_its_spectrum(mo
     assert not copy.eigenvalues.flags.writeable
     assert log_det_system(0.3, copy) == log_det_system(0.3, sw)
     assert calls == []
-    # a copy made before the decomposition has none to carry
+    # a copy made before the first decomposition carries the spectrum too
     np.testing.assert_array_equal(undecomposed.eigenvalues, sw.eigenvalues)
+    assert calls == []
+
+
+def test_a_copy_pickled_before_the_first_decomposition_carries_the_spectrum(monkeypatch):
+    calls = count_spectra(monkeypatch)
+    sw = SpatialWeights(rook_lattice(3, 4))
+    assert calls == []
+    copy = pickle.loads(pickle.dumps(sw))
     assert len(calls) == 1
+    assert copy.eigenvalues is not sw.eigenvalues
+    np.testing.assert_array_equal(copy.eigenvalues, sw.eigenvalues)
+    assert not copy.eigenvalues.flags.writeable
+    pickle.loads(pickle.dumps(sw))
+    assert len(calls) == 1
+
+
+def test_spectrum_checks_the_dense_log_det_at_the_rho_bound(monkeypatch):
+    seen = []
+    system_matrix = spatial._system_matrix
+    monkeypatch.setattr(spatial, "_system_matrix",
+                        lambda rho, w: seen.append(rho) or system_matrix(rho, w))
+    SpatialWeights(rook_lattice(3, 4)).eigenvalues
+    assert seen == [spatial.RHO_BOUND]
+
+
+def test_len_is_the_unit_count():
+    w = knn_inverse_distance(np.random.default_rng(2).uniform(0, 10, (7, 2)), k=2, cutoff=100.0)
+    assert len(SpatialWeights(w)) == len(w) == 7
+
+
+@pytest.mark.parametrize("kind", ["rook", "knn"])
+def test_traces_match_dense_g_and_the_eigenvalue_sums(kind):
+    rng = np.random.default_rng(12)
+    if kind == "rook":
+        w = rook_lattice(5, 6)
+    else:  # asymmetric, with a complex spectrum
+        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(30, 2)), k=4, cutoff=100.0)
+    sw = SpatialWeights(w)
+    lam = sw.eigenvalues
+    assert np.iscomplexobj(lam) == (kind == "knn")
+    for rho in (-0.99, 0.0, 0.5, 0.99):
+        tr_g, tr_g2 = sw.traces(rho)
+        g = np.linalg.solve(np.eye(len(w)) - rho * w, w)
+        # tr G = tr W = 0 at rho = 0, where the eigenvalue sum leaves rounding
+        np.testing.assert_allclose([tr_g, tr_g2], [np.trace(g), np.trace(g @ g)],
+                                   rtol=1e-10, atol=1e-12)
+        # bitwise the expression it replaced: a sum over (lam / (1 - rho lam))^power
+        assert tr_g == float(np.sum((lam / (1.0 - rho * lam)) ** 1).real)
+        assert tr_g2 == float(np.sum((lam / (1.0 - rho * lam)) ** 2).real)
 
 
 @pytest.mark.parametrize("bad", [
