@@ -46,10 +46,11 @@ class MixedDesign:
     """Response, stacked regressor matrix, and spatial weights for one fit.
 
     ``blocks`` maps block names ("intercept", "fpc", "ilr", "scalar") to
-    column slices of Z; absent covariate types simply have no block, and a
-    block that adds less than full column rank is named at construction. Wy and
-    the design's profile likelihood, which takes it, are built on first use
-    and then shared; ``residuals`` is the one formula for y - rho Wy - Z delta.
+    column slices of Z; absent covariate types simply have no block.
+    Construction rejects a non-finite y and a W whose size is not y's, and
+    names a block that adds less than full column rank. Wy and the design's
+    profile likelihood, which takes it, are built on first use and then
+    shared; ``residuals`` is the one formula for y - rho Wy - Z delta.
     """
 
     y: np.ndarray
@@ -59,6 +60,11 @@ class MixedDesign:
     blocks: dict[str, slice]
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("response contains non-finite values")
+        m = len(self.weights)
+        if m != self.n:
+            raise ValueError(f"weights are {m}x{m} but response has {self.n} rows")
         if self.Z.shape[1] > self.n:
             raise ValueError(f"{self.Z.shape[1]} regressors for only {self.n} observations")
         for name, span in self.blocks.items():
@@ -122,18 +128,13 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
 
     ``weights`` is a :class:`~mixsar.spatial.SpatialWeights`, whose eigenvalues
     the design then shares, or a row-stochastic ``(n, n)`` array with no
-    isolated units, wrapped in a fresh one. Verifies consistent row counts; the
-    design checks its rank.
+    isolated units, wrapped in a fresh one. Verifies the blocks' row counts; the
+    design checks y, W's size and its rank.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = y.size
-    if not np.all(np.isfinite(y)):
-        raise ValueError("response contains non-finite values")
     if not isinstance(weights, SpatialWeights):
         weights = SpatialWeights(weights)
-    m = len(weights)
-    if m != n:
-        raise ValueError(f"weights are {m}x{m} but response has {n} rows")
 
     parts = [np.ones((n, 1))]
     labels = ["intercept"]

@@ -9,11 +9,29 @@ what fits ask of W: its unit count, its eigenvalues, computed once and carried
 by every copy, which make each ln|I - rho W| O(n) (Ord 1975), and the traces
 of (I - rho W)^-1 W and its square. This module owns I - rho W: one builder,
 which checks |rho| < 1, serves the dense ``log_det_system`` and ``solve_system``.
+
+W's eigenvalues come from a symmetric matrix whenever W allows it. W = D^-1 A
+with symmetric A, as rook and other symmetric contiguity weights are, is
+reversible: some pi > 0 has pi_i w_ij = pi_j w_ji on every edge, so W is
+similar to S = sqrt(W o W'). One breadth-first search over W's edges, O(n +
+nnz), sets pi along a spanning tree of each connected component, and every
+edge is then checked against it to a relative tau = 1e-12. Every eigenvalue
+of W lies within (tau / 2)(1 + O(tau)) of one of S (Bauer-Fike, S being
+normal). The same search 2-colours the graph. A bipartite W, such as a rook
+lattice, has S = [[0, B], [B', 0]] up to a permutation, whose eigenvalues
+are the singular values of B, their negatives, and zeros (Cvetkovic, Doob &
+Sachs, *Spectra of Graphs*). They come from the Gram matrix B B', whose side
+is the smaller colour class. Taken as square roots, eigenvalues near zero are
+accurate to about sqrt(eps) only; but as the spectrum pairs lambda with
+-lambda, every sum taken over it depends on lambda^2 alone: ln|I - rho W| =
+sum ln(1 - rho^2 lambda^2) over the pairs, and the traces likewise. Any other
+W is decomposed by the general ``eigvals``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +39,7 @@ import numpy as np
 from .errors import NumericalError
 
 RHO_BOUND = 0.999
+_REVERSIBLE_RTOL = 1e-12  # tau: how far pi_i w_ij and pi_j w_ji may differ, relatively
 
 
 @dataclass(frozen=True)
@@ -197,8 +216,8 @@ def solve_system(rho: float, w, rhs) -> np.ndarray:
     a = _system_matrix(rho, w)
     if np.shape(rhs)[:1] != a.shape[:1]:
         raise ValueError(f"right-hand side has shape {np.shape(rhs)} but W has {a.shape}")
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
+    if not np.isfinite(a).all():
+        bad = np.argwhere(~np.isfinite(a))
         raise ValueError(f"weight matrix has {len(bad)} non-finite entries, at (row, col) "
                          f"{bad[:10].tolist()}{' ...' if len(bad) > 10 else ''}")
     try:
@@ -211,18 +230,59 @@ def solve_system(rho: float, w, rhs) -> np.ndarray:
 
 
 def _spectrum(w: np.ndarray) -> np.ndarray:
-    """W's eigenvalues: ``eigvalsh`` of S = sqrt(W o W') if W is similar to S
-    (as D^-1 A is for symmetric A), else ``eigvals(W)``. A closed walk of S
-    weighs the geometric mean of a walk of W and its reverse, so tr(S^k) <=
-    tr(W^k): ln|I - rho S| - ln|I - rho W| grows with rho > 0, and one dense
-    check at RHO_BOUND bounds it for every |rho| <= RHO_BOUND."""
-    if np.array_equal(w > 0, w.T > 0):
-        lam = np.linalg.eigvalsh(np.sqrt(w * w.T))
-        gap = (np.sum(np.log1p(-RHO_BOUND * lam))
-               - np.linalg.slogdet(_system_matrix(RHO_BOUND, w))[1])
-        if abs(gap) <= 1e-10 * w.shape[0]:
-            return lam
-    return np.linalg.eigvals(w)
+    """W's eigenvalues, from the cheapest matrix that W's structure allows.
+
+    W with symmetric support is searched breadth-first (:func:`_search`), and
+    is reversible if pi_i w_ij and pi_j w_ji agree on every edge to a relative
+    tau = ``_REVERSIBLE_RTOL``. Every eigenvalue of W then lies within (tau /
+    2)(1 + O(tau)) of one of S = sqrt(W o W'), by Bauer-Fike, as S is normal.
+    For a bipartite W they are +-sqrt(mu) and zeros, with mu the eigenvalues
+    of the (n1, n1) Gram matrix B B' of S's off-diagonal block B, n1 being the
+    smaller colour class. Near-zero ones are then accurate to about
+    sqrt(eps), but as the spectrum pairs lambda with -lambda, every sum over
+    it depends on lambda^2 alone. Other reversible W take ``eigvalsh(S)``,
+    and every other W ``eigvals(W)``. No I - rho W is formed.
+    """
+    adj = w > 0
+    if not np.array_equal(adj, adj.T):
+        return np.linalg.eigvals(w)
+    i, j = np.nonzero(adj)
+    colour, pi = _search(w, i, j)
+    flow = pi[i] * w[i, j]  # a flow that underflows to 0 would pass vacuously
+    if not np.all((np.abs(flow - pi[j] * w[j, i]) <= _REVERSIBLE_RTOL * flow) & (flow > 0)):
+        return np.linalg.eigvals(w)
+    if np.any(colour[i] == colour[j]):
+        return np.linalg.eigvalsh(np.sqrt(w * w.T))
+    a, b = np.flatnonzero(colour), np.flatnonzero(~colour)
+    if a.size > b.size:
+        a, b = b, a
+    half = np.sqrt(w[np.ix_(a, b)] * w[np.ix_(b, a)].T)
+    sigma = np.sqrt(np.clip(np.linalg.eigvalsh(half @ half.T), 0.0, None))
+    return np.concatenate([-sigma[::-1], np.zeros(w.shape[0] - 2 * sigma.size), sigma])
+
+
+def _search(w: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first search of W's graph, whose edges (i, j) run in row-major
+    order, from each unit that no earlier search reached. Returns each unit's
+    colour, which is the parity of its depth, and pi: 1 at each root, and
+    pi_u w_uv / w_vu at a unit v first reached from u."""
+    n = w.shape[0]
+    start = np.searchsorted(i, np.arange(n + 1)).tolist()
+    neighbours = j.tolist()
+    seen, colour, pi = [False] * n, [False] * n, [1.0] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in neighbours[start[u]:start[u + 1]]:
+                if not seen[v]:
+                    seen[v], colour[v] = True, not colour[u]
+                    pi[v] = pi[u] * w[u, v] / w[v, u]
+                    queue.append(v)
+    return np.array(colour), np.array(pi)
 
 
 class SpatialWeights:
@@ -232,7 +292,10 @@ class SpatialWeights:
     made read-only; it shares memory with ``w`` when ``w`` already is a float
     array, so ``w`` must not change afterwards. ``len`` is n. ``eigenvalues``
     (read-only, real or complex) is computed on first use, ``traces`` comes
-    from it, and a pickled copy carries it. The sums over W that Moran's I
+    from it, and a pickled copy carries it. For a bipartite reversible W, such
+    as a rook lattice, eigenvalues near zero are accurate to about sqrt(eps)
+    only, but the log-det and traces, which depend on lambda^2 alone, keep
+    full accuracy (see the module docstring). The sums over W that Moran's I
     needs are computed once, with the object.
     """
 

@@ -635,6 +635,27 @@ def test_pinned_rho_fit_computes_no_spectrum(kind, monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_rook_fit_runs_three_dense_steps(monkeypatch):
+    """The O(n^3) budget of one fit on a rook lattice: the spectrum from the
+    (n/2, n/2) Gram matrix, full_loglik's log-det and the fitted values."""
+    y, x, w, _ = sar_instance(n_rows=10, n_cols=15, rng=np.random.default_rng(4))
+    used = []
+
+    def logged(name):
+        call = getattr(np.linalg, name)
+
+        def counted(a, *args):
+            used.append((name, np.shape(a)))
+            return call(a, *args)
+        return counted
+
+    for name in ("slogdet", "solve", "eigvalsh", "eigvals", "eigh", "eig", "inv", "det"):
+        monkeypatch.setattr(np.linalg, name, logged(name))
+    fit(y, scalars=x, weights=w)
+    assert sorted(used) == [("eigvalsh", (75, 75)), ("slogdet", (150, 150)),
+                            ("solve", (150, 150))]
+
+
 def test_assemble_design_takes_spatial_weights_as_they_are():
     y, x, w, _ = sar_instance()
     shared = SpatialWeights(w)
@@ -810,6 +831,19 @@ def test_a_design_checks_its_rank_at_construction():
     with pytest.raises(ValueError, match="13 regressors for only 12 observations"):
         MixedDesign(y=y, Z=np.ones((12, 13)), weights=SpatialWeights(w),
                     column_labels=("intercept",), blocks={"intercept": slice(0, 13)})
+
+
+def test_a_design_checks_its_response_at_construction():
+    y, _, w = small_case()
+
+    def design(y, w):
+        return MixedDesign(y=y, Z=np.ones((y.size, 1)), weights=SpatialWeights(w),
+                           column_labels=("intercept",), blocks={"intercept": slice(0, 1)})
+
+    with pytest.raises(ValueError, match=re.escape("response contains non-finite values")):
+        design(np.where(np.arange(y.size) == 3, np.nan, y), w)
+    with pytest.raises(ValueError, match=re.escape("weights are 20x20 but response has 12 rows")):
+        design(y, rook_lattice(4, 5))
 
 
 def test_rho_bound_has_one_definition():

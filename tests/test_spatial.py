@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -500,7 +501,7 @@ def count_spectra(monkeypatch):
 @pytest.mark.parametrize("kind, routes", [
     ("rook", ["eigvalsh"]),
     ("knn", ["eigvals"]),
-    ("symmetric_support", ["eigvalsh", "eigvals"]),
+    ("symmetric_support", ["eigvals"]),
 ], ids=["rook", "knn", "symmetric_support"])
 def test_spectral_log_det_matches_dense_on_the_rho_grid(kind, routes, monkeypatch):
     rng = np.random.default_rng(8)
@@ -586,13 +587,88 @@ def test_a_copy_pickled_before_the_first_decomposition_carries_the_spectrum(monk
     assert len(calls) == 1
 
 
-def test_spectrum_checks_the_dense_log_det_at_the_rho_bound(monkeypatch):
-    seen = []
-    system_matrix = spatial._system_matrix
-    monkeypatch.setattr(spatial, "_system_matrix",
-                        lambda rho, w: seen.append(rho) or system_matrix(rho, w))
-    SpatialWeights(rook_lattice(3, 4)).eigenvalues
-    assert seen == [spatial.RHO_BOUND]
+def test_spectrum_forms_no_system_matrix_and_runs_no_slogdet(monkeypatch):
+    used = []
+    monkeypatch.setattr(spatial, "_system_matrix", lambda rho, w: used.append("_system_matrix"))
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: used.append("slogdet"))
+    for w in (rook_lattice(3, 4), queen_lattice(3, 4), asymmetric_on_lattice(3, 4)):
+        spatial._spectrum(w)
+    assert used == []
+
+
+def queen_lattice(n_rows, n_cols):
+    """Row-normalized rook plus diagonal neighbours: reversible, with triangles."""
+    cell = np.arange(n_rows * n_cols).reshape(n_rows, n_cols)
+    adj = np.zeros((cell.size, cell.size))
+    for a, b in ((cell[:, :-1], cell[:, 1:]), (cell[:-1], cell[1:]),
+                 (cell[:-1, :-1], cell[1:, 1:]), (cell[:-1, 1:], cell[1:, :-1])):
+        adj[a, b] = adj[b, a] = 1.0
+    return row_normalize(adj)
+
+
+def symmetric_on_lattice(n_rows, n_cols, seed=8):
+    """D^-1 A for a random symmetric A on a rook lattice's edges: reversible, bipartite."""
+    upper = np.triu((rook_lattice(n_rows, n_cols) > 0)
+                    * np.random.default_rng(seed).uniform(0.5, 1.5, (n_rows * n_cols,) * 2))
+    return row_normalize(upper + upper.T)
+
+
+def asymmetric_on_lattice(n_rows, n_cols, seed=8):
+    """Random weights on a rook lattice's edges, each direction drawn apart: not reversible."""
+    adjacent = rook_lattice(n_rows, n_cols) > 0
+    return row_normalize(adjacent * np.random.default_rng(seed).uniform(0.5, 1.5, adjacent.shape))
+
+
+def log_linalg(monkeypatch, names=("eigvals", "eigvalsh")):
+    """Record (name, shape of the matrix) for each call of the named np.linalg functions."""
+    used = []
+
+    def logged(name):
+        decompose = getattr(np.linalg, name)
+
+        def call(a):
+            used.append((name, np.shape(a)))
+            return decompose(a)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, logged(name))
+    return used
+
+
+@pytest.mark.parametrize("w, route", [
+    (rook_lattice(1, 2), ("eigvalsh", (1, 1))),
+    (rook_lattice(3, 3), ("eigvalsh", (4, 4))),  # colour classes of 5 and 4 units
+    (rook_lattice(10, 15), ("eigvalsh", (75, 75))),
+    (symmetric_on_lattice(6, 8), ("eigvalsh", (24, 24))),
+    (queen_lattice(5, 6), ("eigvalsh", (30, 30))),
+    (asymmetric_on_lattice(6, 8), ("eigvals", (48, 48))),
+    (scipy.linalg.block_diag(rook_lattice(3, 3), symmetric_on_lattice(2, 4)), ("eigvalsh", (8, 8))),
+], ids=["rook1x2", "rook3x3", "rook10x15", "symmetric_a", "queen", "asymmetric",
+        "disconnected"])
+def test_spectrum_route_log_det_and_traces_match_dense(w, route, monkeypatch):
+    used = log_linalg(monkeypatch)
+    sw = SpatialWeights(w)
+    assert sw.eigenvalues.size == len(w)
+    assert used == [route]
+    grid = np.linspace(-0.999, 0.999, 201)
+    np.testing.assert_allclose([log_det_system(rho, sw) for rho in grid],
+                               [log_det_system(rho, w) for rho in grid], rtol=0, atol=1e-10)
+    for rho in (-0.99, -0.3, 0.5, 0.99):
+        g = np.linalg.solve(np.eye(len(w)) - rho * w, w)
+        np.testing.assert_allclose(sw.traces(rho), [np.trace(g), np.trace(g @ g)], rtol=1e-10)
+
+
+def test_spectrum_sends_a_weight_off_reversibility_by_1e_9_to_eigvals(monkeypatch):
+    a = symmetric_on_lattice(6, 8)
+    used = log_linalg(monkeypatch)
+    spatial._spectrum(a)
+    a[5, 6] *= 1.0 + 1e-9  # one direction of one edge: pi_5 w_56 and pi_6 w_65 now differ
+    lam = spatial._spectrum(a)
+    assert [name for name, _ in used] == ["eigvalsh", "eigvals"]
+    for rho in (-0.999, 0.4, 0.999):
+        assert math.isclose(np.log1p(-rho * lam).sum().real,
+                            np.linalg.slogdet(np.eye(len(a)) - rho * a)[1], abs_tol=1e-10)
 
 
 def test_len_is_the_unit_count():
