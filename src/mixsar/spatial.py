@@ -13,19 +13,25 @@ which checks |rho| < 1, serves the dense ``log_det_system`` and ``solve_system``
 W's eigenvalues come from a symmetric matrix whenever W allows it. W = D^-1 A
 with symmetric A, as rook and other symmetric contiguity weights are, is
 reversible: some pi > 0 has pi_i w_ij = pi_j w_ji on every edge, so W is
-similar to S = sqrt(W o W'). One breadth-first search over W's edges, O(n +
-nnz), sets pi along a spanning tree of each connected component, and every
-edge is then checked against it to a relative tau = 1e-12. Every eigenvalue
-of W lies within (tau / 2)(1 + O(tau)) of one of S (Bauer-Fike, S being
-normal). The same search 2-colours the graph. A bipartite W, such as a rook
-lattice, has S = [[0, B], [B', 0]] up to a permutation, whose eigenvalues
-are the singular values of B, their negatives, and zeros (Cvetkovic, Doob &
-Sachs, *Spectra of Graphs*). They come from the Gram matrix B B', whose side
-is the smaller colour class. Taken as square roots, eigenvalues near zero are
-accurate to about sqrt(eps) only; but as the spectrum pairs lambda with
--lambda, every sum taken over it depends on lambda^2 alone: ln|I - rho W| =
-sum ln(1 - rho^2 lambda^2) over the pairs, and the traces likewise. Any other
-W is decomposed by the general ``eigvals``.
+similar to S = sqrt(W o W') = Pi^1/2 W Pi^-1/2. One breadth-first search over
+W's edges, O(n + nnz), sets pi along a spanning tree of each connected
+component, and every edge is then checked against it to a relative tau =
+1e-12. Every eigenvalue of W lies within (tau / 2)(1 + O(tau)) of one of S
+(Bauer-Fike, S being normal). The same search 2-colours the graph. A
+bipartite W, such as a rook lattice, has S = [[0, B], [B', 0]] up to a
+permutation, whose eigenvalues are the singular values of B, their negatives,
+and zeros (Cvetkovic, Doob & Sachs, *Spectra of Graphs*). They come from the
+Gram matrix G = B B', whose side n1 is the smaller colour class. Taken as
+square roots, eigenvalues near zero are accurate to about sqrt(eps) only; but
+as the spectrum pairs lambda with -lambda, every sum taken over it depends on
+lambda^2 alone: ln|I - rho W| = sum ln(1 - rho^2 lambda^2) over the pairs,
+and the traces likewise. Any other W is decomposed by the general ``eigvals``.
+
+The same split solves the system. A :class:`SpatialWeights` with a reversible
+bipartite W keeps G and B's non-zeros, and ``solve_system`` turns
+(I - rho W) x = c into one (n1, n1) solve with I - rho^2 G, whose eigenvalues
+lie in [1 - rho^2, 1].
+An array, and any other W, is solved by a pivoted LU of I - rho W.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -154,27 +161,32 @@ def knn_inverse_distance(locations, k: int, cutoff: float, metric: str = "euclid
         raise ValueError("cutoff must be positive")
     dist = pairwise_distances(locations, metric)
     n = dist.shape[0]
-    np.fill_diagonal(dist, np.inf)  # each unit sorts itself last
+    np.fill_diagonal(dist, np.inf)  # no unit is its own neighbour
     if np.any(dist <= 0):
         raise ValueError("all pairwise distances must be positive (duplicate locations?)")
 
-    rows = np.arange(n)[:, None]
-    # stable sort on distance keeps lower indices first among ties
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :min(k, n - 1)]
-    near = dist[rows, nearest]
-    within = near <= cutoff
+    # the m nearest, ties at the m-th distance d_m going to the lower indices
+    m = min(k, n - 1)
+    d_m = np.partition(dist, m - 1, axis=1)[:, m - 1:m]
+    nearer = dist < d_m
+    tie = dist == d_m
+    near = nearer | (tie & (np.cumsum(tie, axis=1) <= m - nearer.sum(axis=1, keepdims=True)))
+    within = near & (dist <= cutoff)
     isolated = np.flatnonzero(~within.any(axis=1)).tolist()
     if isolated:
         raise ValueError(f"units with no neighbour within cutoff {cutoff}: {isolated}")
-    w = np.zeros((n, n))
-    w[rows, nearest] = np.where(within, 1.0 / near, 0.0)
+    w = np.where(within, 1.0 / dist, 0.0)
     return row_normalize(w)
+
+
+def _check_rho(rho: float) -> None:
+    if not abs(rho) < 1.0:
+        raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
 
 
 def _system_matrix(rho: float, w) -> np.ndarray:
     """I - rho W, for square W (an array or a :class:`SpatialWeights`) and |rho| < 1."""
-    if not abs(rho) < 1.0:
-        raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
+    _check_rho(rho)
     w = np.asarray(w.matrix if isinstance(w, SpatialWeights) else w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
@@ -192,8 +204,7 @@ def log_det_system(rho: float, w) -> float:
     is guaranteed nonsingular with positive determinant.
     """
     if isinstance(w, SpatialWeights):
-        if not abs(rho) < 1.0:
-            raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
+        _check_rho(rho)
         sign, logdet = 1.0, float(np.log1p(-rho * w.eigenvalues).sum().real)
     else:
         sign, logdet = np.linalg.slogdet(_system_matrix(rho, w))
@@ -209,19 +220,30 @@ def log_det_system(rho: float, w) -> float:
 def solve_system(rho: float, w, rhs) -> np.ndarray:
     """Solve (I - rho W) x = rhs, for W an array or a :class:`SpatialWeights`.
 
-    Raises ``ValueError`` naming an rhs without n rows or the non-finite
-    entries of W, and :class:`NumericalError` if the system is singular or the
-    solution is not finite.
+    A :class:`SpatialWeights` whose W is reversible and bipartite is solved
+    through its half-size Gram matrix (:meth:`_Bipartite.solve`); every other
+    W by a pivoted LU of I - rho W. Raises ``ValueError`` naming an rhs without
+    n rows or the non-finite entries of W, and :class:`NumericalError` if the
+    system is singular or the solution is not finite.
     """
-    a = _system_matrix(rho, w)
-    if np.shape(rhs)[:1] != a.shape[:1]:
-        raise ValueError(f"right-hand side has shape {np.shape(rhs)} but W has {a.shape}")
-    if not np.isfinite(a).all():
-        bad = np.argwhere(~np.isfinite(a))
-        raise ValueError(f"weight matrix has {len(bad)} non-finite entries, at (row, col) "
-                         f"{bad[:10].tolist()}{' ...' if len(bad) > 10 else ''}")
+    split = w._route if isinstance(w, SpatialWeights) else None
+    if isinstance(split, _Bipartite):
+        _check_rho(rho)
+        shape = w.matrix.shape
+    else:
+        a = _system_matrix(rho, w)
+        shape = a.shape
+        if not np.isfinite(a).all():
+            bad = np.argwhere(~np.isfinite(a))
+            raise ValueError(f"weight matrix has {len(bad)} non-finite entries, at (row, col) "
+                             f"{bad[:10].tolist()}{' ...' if len(bad) > 10 else ''}")
+    if np.shape(rhs)[:1] != shape[:1]:
+        raise ValueError(f"right-hand side has shape {np.shape(rhs)} but W has {shape}")
     try:
-        x = np.linalg.solve(a, rhs)
+        if isinstance(split, _Bipartite):
+            x = split.solve(rho, np.asarray(rhs, dtype=float))
+        else:
+            x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"I - rho W is singular at rho={rho}") from exc
     if not np.all(np.isfinite(x)):
@@ -229,46 +251,112 @@ def solve_system(rho: float, w, rhs) -> np.ndarray:
     return x
 
 
-def _spectrum(w: np.ndarray) -> np.ndarray:
-    """W's eigenvalues, from the cheapest matrix that W's structure allows.
+def _edges(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """W's edges, the (i, j) with w_ij > 0 in row-major order, and w_ij and
+    w_ji on each: ``(i, j, w_ij, w_ji)``."""
+    i, j = np.divmod(np.flatnonzero(w > 0), w.shape[0])
+    return i, j, w[i, j], w[j, i]
 
-    W with symmetric support is searched breadth-first (:func:`_search`), and
-    is reversible if pi_i w_ij and pi_j w_ji agree on every edge to a relative
-    tau = ``_REVERSIBLE_RTOL``. Every eigenvalue of W then lies within (tau /
-    2)(1 + O(tau)) of one of S = sqrt(W o W'), by Bauer-Fike, as S is normal.
-    For a bipartite W they are +-sqrt(mu) and zeros, with mu the eigenvalues
-    of the (n1, n1) Gram matrix B B' of S's off-diagonal block B, n1 being the
-    smaller colour class. Near-zero ones are then accurate to about
-    sqrt(eps), but as the spectrum pairs lambda with -lambda, every sum over
-    it depends on lambda^2 alone. Other reversible W take ``eigvalsh(S)``,
-    and every other W ``eigvals(W)``. No I - rho W is formed.
+
+@dataclass(frozen=True, eq=False)
+class _Bipartite:
+    """A reversible bipartite W, split by colour class.
+
+    With pi from :func:`_search`, S = Pi^1/2 W Pi^-1/2 is [[0, B], [B', 0]] in
+    the order (a, b) of the colour classes, a being the smaller, of n1 units.
+    B's non-zeros are b_pq = ``half[e]`` at p = ``rows[e]``, q = ``cols[e]``;
+    ``gram`` is G = B B', (n1, n1).
     """
-    adj = w > 0
-    if not np.array_equal(adj, adj.T):
-        return np.linalg.eigvals(w)
-    i, j = np.nonzero(adj)
-    colour, pi = _search(w, i, j)
-    flow = pi[i] * w[i, j]  # a flow that underflows to 0 would pass vacuously
-    if not np.all((np.abs(flow - pi[j] * w[j, i]) <= _REVERSIBLE_RTOL * flow) & (flow > 0)):
-        return np.linalg.eigvals(w)
+
+    a: np.ndarray
+    b: np.ndarray
+    sqrt_pi: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    half: np.ndarray
+    gram: np.ndarray
+
+    def solve(self, rho: float, rhs: np.ndarray) -> np.ndarray:
+        """(I - rho W) x = rhs by one (n1, n1) solve. With u = Pi^1/2 x and
+        r = Pi^1/2 rhs, (I - rho S) u = r splits into (I - rho^2 G) u_a =
+        r_a + rho B r_b, whose matrix has its eigenvalues in [1 - rho^2, 1],
+        and u_b = r_b + rho B' u_a."""
+        r = self.sqrt_pi[:, None] * rhs.reshape(rhs.shape[0], -1)
+        r_a, r_b = r[self.a], r[self.b]
+        b_r = np.zeros_like(r_a)
+        np.add.at(b_r, self.rows, self.half[:, None] * r_b[self.cols])
+        m = -(rho * rho) * self.gram
+        m.flat[::m.shape[0] + 1] += 1.0
+        u_a = np.linalg.solve(m, r_a + rho * b_r)
+        bt_u = np.zeros_like(r_b)
+        np.add.at(bt_u, self.cols, self.half[:, None] * u_a[self.rows])
+        u = np.empty_like(r)
+        u[self.a], u[self.b] = u_a, r_b + rho * bt_u
+        return (u / self.sqrt_pi[:, None]).reshape(rhs.shape)
+
+
+def _route_of(n: int, edges) -> str | _Bipartite:
+    """How W, of n units and with the :func:`_edges` given, is decomposed and
+    solved.
+
+    W is reversible if its support is symmetric and pi_i w_ij and pi_j w_ji,
+    with pi from :func:`_search`, agree on every edge to a relative tau =
+    ``_REVERSIBLE_RTOL``. Returns "eigvals" for a W that is not, "eigvalsh"
+    for a reversible W with an edge inside a colour class, and the
+    :class:`_Bipartite` split of any other W. B's non-zeros come from the
+    edges: b_pq = sqrt(w_ij w_ji) for unit i, the p-th of class a, and j,
+    the q-th of class b.
+    """
+    i, j, w_ij, w_ji = edges
+    if not np.all(w_ji > 0):
+        return "eigvals"
+    colour, pi = _search(n, edges)
+    flow = pi[i] * w_ij  # a flow that underflows to 0 would pass vacuously
+    if not np.all((np.abs(flow - pi[j] * w_ji) <= _REVERSIBLE_RTOL * flow) & (flow > 0)):
+        return "eigvals"
     if np.any(colour[i] == colour[j]):
+        return "eigvalsh"
+    in_a = colour if 2 * np.count_nonzero(colour) <= n else ~colour
+    a, b = np.flatnonzero(in_a), np.flatnonzero(~in_a)
+    rank = np.empty(n, dtype=np.intp)
+    rank[a], rank[b] = np.arange(a.size), np.arange(b.size)
+    out = in_a[i]
+    rows, cols, half = rank[i[out]], rank[j[out]], np.sqrt(w_ij[out] * w_ji[out])
+    dense = np.zeros((a.size, b.size))
+    dense[rows, cols] = half
+    return _Bipartite(a, b, np.sqrt(pi), rows, cols, half, dense @ dense.T)
+
+
+def _spectrum(w: np.ndarray, route: str | _Bipartite | None = None) -> np.ndarray:
+    """W's eigenvalues, from the cheapest matrix that W's ``route`` allows
+    (:func:`_route_of`, found here when not given).
+
+    Every eigenvalue of a reversible W lies within (tau / 2)(1 + O(tau)) of
+    one of S = sqrt(W o W'), by Bauer-Fike, as S is normal. For a bipartite W
+    they are +-sqrt(mu) and zeros, with mu the eigenvalues of the Gram matrix
+    G. Near-zero ones are then accurate to about sqrt(eps), but as the
+    spectrum pairs lambda with -lambda, every sum over it depends on lambda^2
+    alone. Other reversible W take ``eigvalsh(S)``, and every other W
+    ``eigvals(W)``. No I - rho W is formed.
+    """
+    if route is None:
+        route = _route_of(len(w), _edges(w))
+    if route == "eigvals":
+        return np.linalg.eigvals(w)
+    if route == "eigvalsh":
         return np.linalg.eigvalsh(np.sqrt(w * w.T))
-    a, b = np.flatnonzero(colour), np.flatnonzero(~colour)
-    if a.size > b.size:
-        a, b = b, a
-    half = np.sqrt(w[np.ix_(a, b)] * w[np.ix_(b, a)].T)
-    sigma = np.sqrt(np.clip(np.linalg.eigvalsh(half @ half.T), 0.0, None))
+    sigma = np.sqrt(np.clip(np.linalg.eigvalsh(route.gram), 0.0, None))
     return np.concatenate([-sigma[::-1], np.zeros(w.shape[0] - 2 * sigma.size), sigma])
 
 
-def _search(w: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first search of W's graph, whose edges (i, j) run in row-major
-    order, from each unit that no earlier search reached. Returns each unit's
-    colour, which is the parity of its depth, and pi: 1 at each root, and
+def _search(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first search of the graph of W's :func:`_edges`, from each of
+    the n units that no earlier search reached. Returns each unit's colour,
+    which is the parity of its depth, and pi: 1 at each root, and
     pi_u w_uv / w_vu at a unit v first reached from u."""
-    n = w.shape[0]
+    i, j, w_ij, w_ji = edges
     start = np.searchsorted(i, np.arange(n + 1)).tolist()
-    neighbours = j.tolist()
+    neighbours, forward, back = j.tolist(), w_ij.tolist(), w_ji.tolist()
     seen, colour, pi = [False] * n, [False] * n, [1.0] * n
     for root in range(n):
         if seen[root]:
@@ -277,10 +365,11 @@ def _search(w: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in neighbours[start[u]:start[u + 1]]:
+            for e in range(start[u], start[u + 1]):
+                v = neighbours[e]
                 if not seen[v]:
                     seen[v], colour[v] = True, not colour[u]
-                    pi[v] = pi[u] * w[u, v] / w[v, u]
+                    pi[v] = pi[u] * forward[e] / back[e]
                     queue.append(v)
     return np.array(colour), np.array(pi)
 
@@ -295,23 +384,34 @@ class SpatialWeights:
     from it, and a pickled copy carries it. For a bipartite reversible W, such
     as a rook lattice, eigenvalues near zero are accurate to about sqrt(eps)
     only, but the log-det and traces, which depend on lambda^2 alone, keep
-    full accuracy (see the module docstring). The sums over W that Moran's I
-    needs are computed once, with the object.
+    full accuracy (see the module docstring).
+
+    W's edges are found once, with the object, and give the sums over W that
+    Moran's I needs. W's route (:func:`_route_of`) is found from them on the
+    first solve or decomposition. For a reversible bipartite W it keeps G,
+    8 n1^2 bytes, 1.6 MB on a 30 x 30 rook lattice, and B's non-zeros, which
+    serve the decomposition and every :func:`solve_system` with the object.
+    A pickled copy does not carry the route; it finds it on first use.
     """
 
     def __init__(self, w):
         self.matrix = validate_weights(w, allow_isolated=False).view()
         self.matrix.flags.writeable = False
         self._eigenvalues = None
-        self._moran_sums = _sums_of(self.matrix)
+        self._edges = _edges(self.matrix)
+        self._moran_sums = _sums_of(self._edges)
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def _route(self) -> str | _Bipartite:
+        return _route_of(len(self), self._edges)
+
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
-            self.__setstate__({"_eigenvalues": _spectrum(self.matrix)})
+            self.__setstate__({"_eigenvalues": _spectrum(self.matrix, self._route)})
         return self._eigenvalues
 
     def traces(self, rho: float) -> tuple[float, float]:
@@ -327,11 +427,14 @@ class SpatialWeights:
         self._eigenvalues.flags.writeable = False
 
 
-def _sums_of(w: np.ndarray) -> tuple[float, float, float]:
-    """S0, S1 and S2 of Moran's I moments, which depend on W alone."""
-    s0 = float(w.sum())
-    s1 = 0.5 * float(((w + w.T) ** 2).sum())
-    s2 = float(((w.sum(axis=1) + w.sum(axis=0)) ** 2).sum())
+def _sums_of(edges) -> tuple[float, float, float]:
+    """S0, S1 and S2 of Moran's I moments, which depend on W alone, from its
+    :func:`_edges`: S1 = 0.5 sum (w_ij + w_ji)^2 = sum over the edges of
+    w_ij (w_ij + w_ji), and S2 = sum_i (w_i. + w_.i)^2."""
+    i, j, w_ij, w_ji = edges
+    s0 = float(w_ij.sum())
+    s1 = float((w_ij * (w_ij + w_ji)).sum())
+    s2 = float((np.bincount(np.concatenate([i, j]), np.concatenate([w_ij, w_ij])) ** 2).sum())
     return s0, s1, s2
 
 
@@ -341,7 +444,8 @@ def morans_i(values, w) -> MoranReport:
     I = (n / S0) * (z' W z) / (z' z) with z the centered values. Moments are
     the closed forms under the normality assumption; the p-value is the
     two-sided normal approximation. ``w`` is an array, validated here, or a
-    :class:`SpatialWeights`, whose matrix and sums over W are reused.
+    :class:`SpatialWeights`, whose edges and sums over W are reused. z' W z
+    and the sums are taken over W's edges (:func:`_edges`).
     """
     x = np.asarray(values, dtype=float).ravel()
     bad = np.flatnonzero(~np.isfinite(x))
@@ -349,10 +453,11 @@ def morans_i(values, w) -> MoranReport:
         raise ValueError(f"values have {bad.size} non-finite entries, at units "
                          f"{bad[:10].tolist()}{' ...' if bad.size > 10 else ''}")
     if isinstance(w, SpatialWeights):
-        w, (s0, s1, s2) = w.matrix, w._moran_sums
+        w, edges, (s0, s1, s2) = w.matrix, w._edges, w._moran_sums
     else:
         w = validate_weights(w)
-        s0, s1, s2 = _sums_of(w)
+        edges = _edges(w)
+        s0, s1, s2 = _sums_of(edges)
     n = x.size
     if w.shape[0] != n:
         raise ValueError(f"{n} values but {w.shape[0]}x{w.shape[0]} weights")
@@ -364,7 +469,8 @@ def morans_i(values, w) -> MoranReport:
         raise ValueError("values are constant; Moran's I is undefined")
     if s0 == 0.0:
         raise ValueError("weight matrix is all zero")
-    stat = n / s0 * float(z @ w @ z) / denom
+    i, j, w_ij, _ = edges
+    stat = n / s0 * float((w_ij * z[i] * z[j]).sum()) / denom
 
     expectation = -1.0 / (n - 1)
     var = (n**2 * s1 - n * s2 + 3 * s0**2) / (s0**2 * (n**2 - 1)) - expectation**2

@@ -191,9 +191,9 @@ def test_monte_carlo_decomposes_w_once_per_setting(monkeypatch):
     spectra, shared = [], []
     decompose = spatial._spectrum
 
-    def counted(w):
+    def counted(w, *route):
         spectra.append(w)
-        return decompose(w)
+        return decompose(w, *route)
 
     def recorded_fit(*args, weights, **kwargs):
         shared.append(weights)
@@ -206,6 +206,34 @@ def test_monte_carlo_decomposes_w_once_per_setting(monkeypatch):
     assert len(spectra) == 1
     assert len(shared) == 3 and all(w is shared[0] for w in shared)
     assert shared[0].matrix is spectra[0]
+
+
+def test_a_replication_runs_two_half_size_solves_and_one_dense_log_det(monkeypatch):
+    """The O(n^3) budget of one replication on a 10 x 15 lattice whose shared W
+    is already decomposed: gen_response and the fitted values each solve the
+    (75, 75) half-size system, full_loglik takes one dense log-det, and W is
+    not decomposed again. FPCA's eigh is on the curves' grid."""
+    config = SimConfig(n_rows=10, n_cols=15, rho_true=0.4, alpha_decay=1.1, n_reps=1, seed=5)
+    weights = spatial.SpatialWeights(rook_lattice(10, 15))
+    weights.eigenvalues
+    grid = np.linspace(0.0, 1.0, config.grid_size)
+    truth = (grid, true_beta_t(grid), grid, true_beta_t(grid))
+    used = []
+
+    def logged(name):
+        call = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            used.append((name, np.shape(a)))
+            return call(a, *args, **kwargs)
+        return counted
+
+    for name in ("slogdet", "solve", "eigvalsh", "eigvals", "eigh", "eig", "inv", "det"):
+        monkeypatch.setattr(np.linalg, name, logged(name))
+    simulation._replicate(config, weights, truth, 0)
+    size = config.grid_size
+    assert sorted(used) == [("eigh", (size, size)), ("slogdet", (150, 150)),
+                            ("solve", (75, 75)), ("solve", (75, 75))]
 
 
 def test_single_replication_report_has_zero_spreads():
@@ -246,10 +274,10 @@ def test_monte_carlo_decomposes_w_once_in_the_parent(monkeypatch, tmp_path):
     log = tmp_path / "spectra.txt"
     decompose = spatial._spectrum
 
-    def logged(w):
+    def logged(w, *route):
         with open(log, "a") as f:
             f.write(f"{os.getpid()}\n")
-        return decompose(w)
+        return decompose(w, *route)
 
     monkeypatch.setattr(spatial, "_spectrum", logged)
     run_monte_carlo(SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1, n_reps=8,

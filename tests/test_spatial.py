@@ -232,6 +232,34 @@ def test_knn_matches_per_unit_loop(case):
     assert_same_outcome(outcome(knn_inverse_distance, *case), outcome(reference_knn, *case))
 
 
+def stable_sort_knn(locations, k, cutoff):
+    """The k-nearest rule by a stable sort of every row of distances: the first
+    min(k, n - 1) units, lower index first among ties, kept within the cutoff."""
+    dist = pairwise_distances(locations)
+    n = dist.shape[0]
+    np.fill_diagonal(dist, np.inf)
+    rows = np.arange(n)[:, None]
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :min(k, n - 1)]
+    near = dist[rows, nearest]
+    within = near <= cutoff
+    isolated = np.flatnonzero(~within.any(axis=1)).tolist()
+    if isolated:
+        raise ValueError(f"units with no neighbour within cutoff {cutoff}: {isolated}")
+    w = np.zeros((n, n))
+    w[rows, nearest] = np.where(within, 1.0 / near, 0.0)
+    return row_normalize(w)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 5, 8])
+def test_knn_on_a_grid_of_ties_matches_a_stable_sort(k):
+    """Every unit of an integer grid has 2 to 4 neighbours at each of several
+    distances, so the k-th distance is nearly always tied."""
+    pts = np.array(list(itertools.product(range(12), repeat=2)), dtype=float)
+    for cutoff in (0.5, 1.0, 1.5, 10.0):
+        assert_same_outcome(outcome(knn_inverse_distance, pts, k, cutoff),
+                            outcome(stable_sort_knn, pts, k, cutoff))
+
+
 def test_knn_weights_inverse_distance_before_normalization():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     w = knn_inverse_distance(pts, k=2, cutoff=10.0)
@@ -374,7 +402,7 @@ def test_log_det_rejects_non_finite_weights(bad):
 
 
 def test_spectral_log_det_rejects_a_non_finite_result(monkeypatch):
-    monkeypatch.setattr(spatial, "_spectrum", lambda w: np.array([1.0, np.nan, -1.0]))
+    monkeypatch.setattr(spatial, "_spectrum", lambda w, route: np.array([1.0, np.nan, -1.0]))
     with pytest.raises(NumericalError, match=r"not finite at rho=0\.5"):
         log_det_system(0.5, SpatialWeights(rook_lattice(1, 3)))
 
@@ -415,17 +443,26 @@ def test_solve_system_matches_dense_inverse():
         np.testing.assert_allclose(solve_system(rho, w, rhs[:, 0]), expected[:, 0], atol=1e-12)
 
 
-@pytest.mark.parametrize("w", [rook_lattice(4, 5), random_weights(12, np.random.default_rng(5))],
+@pytest.mark.parametrize("w, bitwise", [(rook_lattice(4, 5), False),
+                                         (random_weights(12, np.random.default_rng(5)), True)],
                          ids=["rook", "asymmetric"])
-def test_solves_take_spatial_weights_and_match_the_array_bitwise(w):
+def test_solves_take_spatial_weights_and_match_the_array_bitwise(w, bitwise):
+    """An object whose W takes the LU, as an array does, solves bitwise alike. A
+    bipartite W takes the half-size route instead, a different algorithm, so it
+    matches the array's LU to rounding and leaves a residual at rounding."""
     rhs = np.random.default_rng(8).normal(size=w.shape[0])
     obj = SpatialWeights(w)
-    assert np.array_equal(solve_system(0.3, obj, rhs), solve_system(0.3, w, rhs))
 
     def draw(weights):
         return gen_response(weights, 0.3, None, None, None, None, rhs, 1.0, 0.5,
                             np.random.default_rng(9))
-    assert np.array_equal(draw(obj), draw(w))
+    x = solve_system(0.3, obj, rhs)
+    for got, want in ((x, solve_system(0.3, w, rhs)), (draw(obj), draw(w))):
+        if bitwise:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert np.abs(x - 0.3 * (w @ x) - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
 def test_solve_system_leaves_weights_untouched():
@@ -490,9 +527,9 @@ def count_spectra(monkeypatch):
     calls = []
     decompose = spatial._spectrum
 
-    def counted(w):
+    def counted(w, *route):
         calls.append(w)
-        return decompose(w)
+        return decompose(w, *route)
 
     monkeypatch.setattr(spatial, "_spectrum", counted)
     return calls
@@ -620,20 +657,28 @@ def asymmetric_on_lattice(n_rows, n_cols, seed=8):
 
 
 def log_linalg(monkeypatch, names=("eigvals", "eigvalsh")):
-    """Record (name, shape of the matrix) for each call of the named np.linalg functions."""
+    """Record (name, shape of the first argument) for each call of the named
+    np.linalg functions."""
     used = []
 
     def logged(name):
         decompose = getattr(np.linalg, name)
 
-        def call(a):
+        def call(a, *args):
             used.append((name, np.shape(a)))
-            return decompose(a)
+            return decompose(a, *args)
         return call
 
     for name in names:
         monkeypatch.setattr(np.linalg, name, logged(name))
     return used
+
+
+def one_way(n_rows, n_cols):
+    """A rook lattice less one direction of one edge: its support is not symmetric."""
+    adjacent = rook_lattice(n_rows, n_cols) > 0
+    adjacent[n_cols + 1, n_cols + 2] = False
+    return row_normalize(adjacent.astype(float))
 
 
 @pytest.mark.parametrize("w, route", [
@@ -643,20 +688,39 @@ def log_linalg(monkeypatch, names=("eigvals", "eigvalsh")):
     (symmetric_on_lattice(6, 8), ("eigvalsh", (24, 24))),
     (queen_lattice(5, 6), ("eigvalsh", (30, 30))),
     (asymmetric_on_lattice(6, 8), ("eigvals", (48, 48))),
+    (one_way(3, 4), ("eigvals", (12, 12))),
     (scipy.linalg.block_diag(rook_lattice(3, 3), symmetric_on_lattice(2, 4)), ("eigvalsh", (8, 8))),
-], ids=["rook1x2", "rook3x3", "rook10x15", "symmetric_a", "queen", "asymmetric",
+], ids=["rook1x2", "rook3x3", "rook10x15", "symmetric_a", "queen", "asymmetric", "one_way",
         "disconnected"])
 def test_spectrum_route_log_det_and_traces_match_dense(w, route, monkeypatch):
-    used = log_linalg(monkeypatch)
+    """Each route's spectrum gives the dense log-det and traces. Its solve takes
+    one np.linalg.solve on the matrix the route decomposes: the (n1, n1) Gram
+    matrix for a bipartite reversible W, else the LU of I - rho W."""
+    n = len(w)
+    used = log_linalg(monkeypatch, names=("eigvals", "eigvalsh", "solve"))
     sw = SpatialWeights(w)
-    assert sw.eigenvalues.size == len(w)
+    assert sw.eigenvalues.size == n
     assert used == [route]
     grid = np.linspace(-0.999, 0.999, 201)
     np.testing.assert_allclose([log_det_system(rho, sw) for rho in grid],
                                [log_det_system(rho, w) for rho in grid], rtol=0, atol=1e-10)
     for rho in (-0.99, -0.3, 0.5, 0.99):
-        g = np.linalg.solve(np.eye(len(w)) - rho * w, w)
+        g = np.linalg.solve(np.eye(n) - rho * w, w)
         np.testing.assert_allclose(sw.traces(rho), [np.trace(g), np.trace(g @ g)], rtol=1e-10)
+    rhs = np.random.default_rng(3).normal(size=(n, 3))
+    for rho in (-0.999, -0.4, 0.0, 0.4, 0.999):
+        for c in (rhs[:, 0], rhs):
+            expected = np.linalg.solve(np.eye(n) - rho * w, c)
+            used.clear()
+            x = solve_system(rho, sw, c)
+            assert used == [("solve", route[1])]
+            np.testing.assert_allclose(x, expected, rtol=1e-12)
+            assert np.abs(x - rho * (w @ x) - c).max() <= 1e-12 * max(1.0, np.abs(c).max())
+    with pytest.raises(ValueError, match=re.escape("rho must satisfy |rho| < 1, got 1.0")):
+        solve_system(1.0, sw, rhs)
+    with pytest.raises(ValueError, match=re.escape(
+            f"right-hand side has shape {(n - 1,)} but W has {(n, n)}")):
+        solve_system(0.4, sw, rhs[1:, 0])
 
 
 def test_spectrum_sends_a_weight_off_reversibility_by_1e_9_to_eigvals(monkeypatch):
