@@ -12,7 +12,16 @@ maximized by a grid scan and safeguarded Newton on its score, with ln|I - rho W|
 W's eigenvalues (Ord 1975). Wald standard errors come from the closed-form
 observed Hessian (Anselin 1988; Lee 2004). The functional coefficient curve is
 rebuilt from the score coefficients on the retained eigenfunctions; the
-compositional coefficient is the inverse ilr of its coordinate block.
+compositional coefficient is the inverse ilr of its coordinate block, or None
+with a warning when a part of it cannot be represented.
+
+Z is factored once per design: each column is divided by its norm, and one
+reduced QR follows. |R_jj| is then the distance of column j, at unit norm, from
+the span of the columns before it, so a block is rank deficient when any of
+its |R_jj| is at most max(n, k) eps = n eps, a rule no change of units moves.
+The same Q and R give both least squares of the profile, and the rho search
+stops with an error when the residual of Wy is at most n eps ||Wy||, as rho is
+then not identified.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .functional import (
 from .spatial import RHO_BOUND, MoranReport, SpatialWeights, log_det_system, morans_i, solve_system
 
 _RHO_GRID_POINTS = 201
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +58,10 @@ class MixedDesign:
     ``blocks`` maps block names ("intercept", "fpc", "ilr", "scalar") to
     column slices of Z; absent covariate types simply have no block.
     Construction rejects a non-finite y and a W whose size is not y's, and
-    names a block that adds less than full column rank. Wy and the design's
+    names the first block that adds less than full column rank: Z, its columns
+    divided by their norms, is factored by one reduced QR, and a column counts
+    as independent of those before it when its |R_jj| exceeds n eps. The
+    factor, with the norms, serves the profile. Wy and the design's
     profile likelihood, which takes it, are built on first use and then
     shared; ``residuals`` is the one formula for y - rho Wy - Z delta.
     """
@@ -67,9 +80,13 @@ class MixedDesign:
             raise ValueError(f"weights are {m}x{m} but response has {self.n} rows")
         if self.Z.shape[1] > self.n:
             raise ValueError(f"{self.Z.shape[1]} regressors for only {self.n} observations")
+        norms = np.linalg.norm(self.Z, axis=0)
+        q, r = np.linalg.qr(self.Z / np.where(norms > 0.0, norms, 1.0))
+        independent = np.abs(np.diag(r)) > self.n * _EPS
         for name, span in self.blocks.items():
-            if np.linalg.matrix_rank(self.Z[:, :span.stop]) < span.stop:
+            if not independent[:span.stop].all():
                 raise ValueError(f"design is rank deficient at block '{name}'")
+        object.__setattr__(self, "_factor", (q, r, norms))
 
     @property
     def n(self) -> int:
@@ -85,7 +102,7 @@ class MixedDesign:
 
     @cached_property
     def _profile(self) -> _Profile:
-        return _Profile(self.y, self.wy, self.Z, self.weights)
+        return _Profile(self.y, self.wy, *self._factor, self.weights)
 
     def residuals(self, rho: float, delta: np.ndarray) -> np.ndarray:
         return self.y - rho * self.wy - self.Z @ delta
@@ -102,7 +119,7 @@ class FitResult:
     beta_scalar_hat: np.ndarray  # scalar-covariate coefficients (may be empty)
     sigma2_hat: float
     beta_t_hat: np.ndarray | None    # coefficient curve on `grid`
-    beta_comp_hat: np.ndarray | None  # composition, inverse-ilr of theta_hat
+    beta_comp_hat: np.ndarray | None  # inverse-ilr of theta_hat; None if a part underflows
     grid: np.ndarray | None
     n_components: int
     loglik: float
@@ -171,19 +188,22 @@ class _Profile:
     """The profile likelihood of one design, O(n) per rho.
 
     Least squares of y and of Wy, which it takes from the design, on the full
-    rank Z, done once, give delta(rho) = d_y - rho d_w and residuals e_y - rho
-    e_w, whose mean square, sigma2(rho), stays >= 0 even where a noise-free fit
-    drives it to zero. It keeps n and the weights, whose spectrum gives the
-    log-det and score traces, not the design, so caching it forms no cycle.
+    rank Z come from the design's factor Z = Q R D, D the column norms: [d_y,
+    d_w] = D^-1 R^-1 Q'[y, Wy], one (k, k) triangular solve, and [e_y, e_w] =
+    [y, Wy] - Q Q'[y, Wy]. They give delta(rho) = d_y - rho d_w and residuals
+    e_y - rho e_w, whose mean square, sigma2(rho), stays >= 0 even where a
+    noise-free fit drives it to zero. It keeps n and the weights, whose
+    spectrum gives the log-det and score traces, not the design, so caching it
+    forms no cycle.
     """
 
-    def __init__(self, y: np.ndarray, wy: np.ndarray, z: np.ndarray, weights: SpatialWeights):
+    def __init__(self, y: np.ndarray, wy: np.ndarray, q: np.ndarray, r: np.ndarray,
+                 norms: np.ndarray, weights: SpatialWeights):
         self.n = y.size
         self.weights = weights
-        self.d_y = np.linalg.lstsq(z, y, rcond=None)[0]
-        self.d_w = np.linalg.lstsq(z, wy, rcond=None)[0]
-        self.e_y = y - z @ self.d_y
-        self.e_w = wy - z @ self.d_w
+        coords = (y, wy) @ q
+        self.d_y, self.d_w = np.linalg.solve(r, coords.T).T / norms
+        self.e_y, self.e_w = (y, wy) - coords @ q.T
 
     def delta(self, rho: float) -> np.ndarray:
         return self.d_y - rho * self.d_w
@@ -256,8 +276,12 @@ def optimize_rho(design: MixedDesign) -> float:
     times sigma2(rho) closes the best point's bracket to adjacent floats, unless
     that point scores higher. A step that leaves the bracket halves it instead; one
     that stops shrinking, as rounding flattens the score, doubles the last step.
+    Raises ``ValueError`` when rho is not identified: the residual of Wy on Z
+    is at most n eps ||Wy||, as for a constant y.
     """
     profile = design._profile
+    if not math.hypot(*profile.e_w) > design.n * _EPS * math.hypot(*design.wy):
+        raise ValueError("rho is not identified: Wy lies in the span of the regressors")
 
     def objective(rho: float, s2: float | None = None) -> float:
         try:
@@ -387,7 +411,12 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     beta_scalar = block("scalar")
 
     beta_t = b_hat @ basis.eigenfunctions[:n_components] if basis is not None else None
-    beta_comp = geometry.ilr_inv(theta) if theta.size else None
+    beta_comp = None
+    if theta.size:
+        try:
+            beta_comp = geometry.ilr_inv(theta)
+        except ValueError as exc:  # a part of the composition underflows
+            warnings.warn(f"beta_comp_hat is None ({exc}); theta_hat holds the estimate")
 
     fitted = solve_system(rho_hat, design.weights, design.Z @ delta)
     sse = float(np.sum((design.y - fitted) ** 2))

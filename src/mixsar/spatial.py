@@ -252,9 +252,9 @@ def solve_system(rho: float, w, rhs) -> np.ndarray:
 
 
 def _edges(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """W's edges, the (i, j) with w_ij > 0 in row-major order, and w_ij and
-    w_ji on each: ``(i, j, w_ij, w_ji)``."""
-    i, j = np.divmod(np.flatnonzero(w > 0), w.shape[0])
+    """W's edges, the (i, j) with w_ij > 0 in row-major order as int32, and
+    w_ij and w_ji on each: ``(i, j, w_ij, w_ji)``."""
+    i, j = (k.astype(np.int32) for k in np.divmod(np.flatnonzero(w > 0), w.shape[0]))
     return i, j, w[i, j], w[j, i]
 
 
@@ -387,10 +387,12 @@ class SpatialWeights:
     full accuracy (see the module docstring).
 
     W's edges are found once, with the object, and give the sums over W that
-    Moran's I needs. W's route (:func:`_route_of`) is found from them on the
-    first solve or decomposition. For a reversible bipartite W it keeps G,
-    8 n1^2 bytes, 1.6 MB on a 30 x 30 rook lattice, and B's non-zeros, which
-    serve the decomposition and every :func:`solve_system` with the object.
+    Moran's I needs. It keeps them as int32 i and j and float w_ij, 16 bytes
+    per edge; W's route (:func:`_route_of`) is found from them and w_ji, read
+    from the matrix again, on the first solve or decomposition. For a
+    reversible bipartite W it keeps G, 8 n1^2 bytes, 1.6 MB on a 30 x 30 rook
+    lattice, and B's non-zeros, which serve the decomposition and every
+    :func:`solve_system` with the object.
     A pickled copy does not carry the route; it finds it on first use.
     """
 
@@ -398,15 +400,17 @@ class SpatialWeights:
         self.matrix = validate_weights(w, allow_isolated=False).view()
         self.matrix.flags.writeable = False
         self._eigenvalues = None
-        self._edges = _edges(self.matrix)
-        self._moran_sums = _sums_of(self._edges)
+        edges = _edges(self.matrix)
+        self._moran_sums = _sums_of(edges)
+        self._edges = edges[:3]  # (i, j, w_ij); the route gathers w_ji again
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
     @cached_property
     def _route(self) -> str | _Bipartite:
-        return _route_of(len(self), self._edges)
+        i, j, w_ij = self._edges
+        return _route_of(len(self), (i, j, w_ij, self.matrix[j, i]))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -469,7 +473,7 @@ def morans_i(values, w) -> MoranReport:
         raise ValueError("values are constant; Moran's I is undefined")
     if s0 == 0.0:
         raise ValueError("weight matrix is all zero")
-    i, j, w_ij, _ = edges
+    i, j, w_ij = edges[:3]
     stat = n / s0 * float((w_ij * z[i] * z[j]).sum()) / denom
 
     expectation = -1.0 / (n - 1)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 import weakref
 from dataclasses import replace
 from functools import cached_property
@@ -9,11 +10,11 @@ from functools import cached_property
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_golden import GOLDEN
 
-from mixsar import geometry, model, spatial
+from mixsar import geometry, model, simulation, spatial
 from mixsar.errors import NumericalError
 from mixsar.functional import CurveSample, trapezoid_weights
 from mixsar.model import (
@@ -183,7 +184,7 @@ def test_concentrated_loglik_degenerate_exact_fit():
     d = assemble_design(y, weights=w)
     with pytest.raises(NumericalError):
         concentrated_loglik(0.2, d)
-    with pytest.raises(NumericalError):
+    with pytest.raises(ValueError, match="rho is not identified"):  # Wy = 0 as well
         optimize_rho(d)
 
 
@@ -525,6 +526,36 @@ def test_fit_composition_coefficient_on_simplex():
     np.testing.assert_allclose(geometry.ilr(res.beta_comp_hat), res.theta_hat, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 3e3])
+def test_fit_returns_theta_hat_when_the_composition_underflows(scale):
+    """Far from unit scale, theta_hat is still the estimate; where a part of
+    its composition cannot be represented, beta_comp_hat is None with a
+    warning, and fit does not raise."""
+    rng = np.random.default_rng(0)
+    w, grid = rook_lattice(10, 15), np.linspace(0.0, 1.0, 100)
+    curves = simulation.gen_functional(150, 1.1, grid, rng)
+    comps = simulation.gen_composition(150, simulation.COMP_MEAN, simulation.COMP_ILR_COV, rng)
+    x = rng.normal(simulation.SCALAR_MEAN, simulation.SCALAR_SD, 150)
+    y = simulation.gen_response(w, 0.4, curves, simulation.true_beta_t(grid), comps,
+                                simulation.TRUE_COMP_COEF, x, simulation.TRUE_SCALAR_COEF, 1.0,
+                                rng)
+    base = fit(y, curves, comps, x, weights=w)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = fit(scale * y, curves, comps, x, weights=w)
+    assert res.rho_hat == pytest.approx(base.rho_hat, rel=1e-12, abs=0)
+    np.testing.assert_allclose(res.theta_hat, scale * base.theta_hat, rtol=1e-10, atol=0)
+    if scale == 1.0:
+        assert caught == []
+        np.testing.assert_allclose(geometry.ilr(res.beta_comp_hat), res.theta_hat, atol=1e-12)
+    else:  # at 1e3 a part falls below 1e-300, at 3e3 one underflows to 0
+        assert res.beta_comp_hat is None
+        (warning,) = caught
+        assert warning.category is UserWarning
+        assert "beta_comp_hat is None" in str(warning.message)
+        assert "theta_hat holds the estimate" in str(warning.message)
+
+
 @pytest.mark.parametrize("kind", ["rook", "knn"])
 @pytest.mark.parametrize("rho", [None, 0.6, -0.5])
 def test_fit_loglik_is_full_loglik_at_the_estimates(kind, rho):
@@ -563,25 +594,34 @@ def test_wy_and_the_residual_have_one_home_in_the_design(name, monkeypatch):
     assert full_loglik(rho, delta, s2, design) == gaussian == res.loglik
 
 
-def test_least_squares_run_once_per_target_per_design(monkeypatch):
-    calls = []
-    lstsq = np.linalg.lstsq
+def test_z_is_factored_once_per_design(monkeypatch):
+    """One reduced QR of Z with unit-norm columns answers the rank check and
+    both least squares of the profile; no SVD of Z runs in a fit."""
+    factored = []
+    qr = np.linalg.qr
 
-    def counted(z, target, *args, **kwargs):
-        calls.append(target)
-        return lstsq(z, target, *args, **kwargs)
+    def counted(a, *args, **kwargs):
+        factored.append(a)
+        return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    def forbidden(name):
+        return lambda *args, **kwargs: pytest.fail(f"np.linalg.{name} called")
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    for name in ("matrix_rank", "lstsq", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden(name))
     y, x, w, _ = sar_instance(n_rows=5, n_cols=6, rng=np.random.default_rng(5))
     fit(y, scalars=x, weights=w, std_errors=True)
-    assert len(calls) == 2  # y and Wy on Z
+    (scaled,) = factored
+    assert scaled.shape == (30, 3)
+    np.testing.assert_allclose(np.linalg.norm(scaled, axis=0), 1.0, rtol=1e-15)
 
-    calls.clear()
+    factored.clear()
     d = make_design(y, x, w)
     rho_hat = optimize_rho(d)
     for view in (delta_hat, sigma2_hat, concentrated_loglik):
         view(rho_hat, d)
-    assert len(calls) == 2
+    assert len(factored) == 1
 
 
 def count_spectra(monkeypatch):
@@ -638,7 +678,8 @@ def test_pinned_rho_fit_computes_no_spectrum(kind, monkeypatch):
 def test_a_rook_fit_runs_three_dense_steps(monkeypatch):
     """The O(n^3) budget of one fit on a rook lattice: the spectrum from the
     (n/2, n/2) Gram matrix, full_loglik's log-det, and the fitted values from
-    one solve of the same half size."""
+    one solve of the same half size. Beside them, the profile's (k, k)
+    triangular solve with Z's R."""
     y, x, w, _ = sar_instance(n_rows=10, n_cols=15, rng=np.random.default_rng(4))
     used = []
 
@@ -654,7 +695,7 @@ def test_a_rook_fit_runs_three_dense_steps(monkeypatch):
         monkeypatch.setattr(np.linalg, name, logged(name))
     fit(y, scalars=x, weights=w)
     assert sorted(used) == [("eigvalsh", (75, 75)), ("slogdet", (150, 150)),
-                            ("solve", (75, 75))]
+                            ("solve", (3, 3)), ("solve", (75, 75))]
 
 
 def test_assemble_design_takes_spatial_weights_as_they_are():
@@ -834,6 +875,40 @@ def test_a_design_checks_its_rank_at_construction():
                     column_labels=("intercept",), blocks={"intercept": slice(0, 13)})
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 30),
+       widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       planted=st.one_of(st.none(), st.integers(1, 9)))
+def test_the_rank_decision_is_matrix_rank_on_the_column_scaled_prefixes(seed, n, widths,
+                                                                        planted):
+    """Per block, the decision from Z's one QR equals np.linalg.matrix_rank on
+    Z's prefix with unit-norm columns: with a column planted as an exact
+    combination of the ones before it, and on full-rank designs, with column
+    scales from 1e-12 to 1e15."""
+    k = 1 + sum(widths)
+    assume(k < n)
+    rng = np.random.default_rng(seed)
+    z = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+    if planted is not None and planted < k:
+        signs = rng.choice([-1.0, 1.0], planted)
+        z[:, planted] = z[:, :planted] @ (signs * rng.uniform(0.5, 2.0, planted))
+    z = z * 10.0 ** rng.uniform(-12.0, 15.0, k)
+    stops = np.cumsum([1, *widths]).tolist()
+    blocks = {name: slice(start, stop) for name, start, stop
+              in zip(("intercept", "fpc", "ilr", "scalar"), [0, *stops[:-1]], stops)}
+    unit = z / np.linalg.norm(z, axis=0)
+    expected = next((name for name, span in blocks.items()
+                     if np.linalg.matrix_rank(unit[:, :span.stop]) < span.stop), None)
+    assert (expected is None) == (planted is None or planted >= k)
+    try:
+        MixedDesign(y=rng.normal(size=n), Z=z, weights=SpatialWeights(rook_lattice(1, n)),
+                    column_labels=tuple(f"z_{j}" for j in range(k)), blocks=blocks)
+        found = None
+    except ValueError as exc:
+        found = re.fullmatch(r"design is rank deficient at block '(\w+)'", str(exc)).group(1)
+    assert found == expected
+
+
 def test_a_design_checks_its_response_at_construction():
     y, _, w = small_case()
 
@@ -849,3 +924,58 @@ def test_a_design_checks_its_response_at_construction():
 
 def test_rho_bound_has_one_definition():
     assert model.RHO_BOUND is spatial.RHO_BOUND == 0.999
+
+
+# -- units and identification ---------------------------------------------------------
+
+def units_case():
+    """FPC scores and two scalars on a 10 x 15 rook lattice."""
+    y, curves, _, x, w = mixed_inputs(n_rows=10, n_cols=15, seed=5)
+    return y, curves, np.column_stack([x, np.random.default_rng(5).normal(size=x.size)]), w
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_a_scalar_in_other_units_scales_only_its_coefficient(column):
+    y, curves, x, w = units_case()
+    base = fit(y, curves, scalars=x, weights=w)
+    where = base.column_labels.index(f"x_{column + 1}")
+    for k in range(-12, 16):
+        scaled = x.copy()
+        scaled[:, column] *= 10.0**k
+        res = fit(y, curves, scalars=scaled, weights=w)
+        assert res.rho_hat == pytest.approx(base.rho_hat, rel=1e-12, abs=0), k
+        expected = base.delta_hat.copy()
+        expected[where] /= 10.0**k
+        np.testing.assert_allclose(res.delta_hat, expected, rtol=1e-10, atol=0, err_msg=k)
+
+
+@pytest.mark.parametrize("k", [-100, -10, -3, 3, 10, 100])
+def test_a_response_in_other_units_scales_the_estimates(k):
+    y, curves, x, w = units_case()
+    base = fit(y, curves, scalars=x, weights=w)
+    res = fit(y * 10.0**k, curves, scalars=x, weights=w)
+    assert res.rho_hat == pytest.approx(base.rho_hat, rel=1e-12, abs=0)
+    np.testing.assert_allclose(res.delta_hat, base.delta_hat * 10.0**k, rtol=1e-10, atol=0)
+    assert res.sigma2_hat == pytest.approx(base.sigma2_hat * 10.0 ** (2 * k), rel=1e-10, abs=0)
+
+
+def eigenvector_scalars(w, count):
+    """``count`` eigenvectors of a rook lattice's W = D^-1 A, none constant:
+    W maps their span, with the intercept's, into itself."""
+    root = np.sqrt((w > 0).sum(axis=1))
+    vectors = np.linalg.eigh(w * root[:, None] / root[None, :])[1] / root[:, None]
+    return vectors[:, -1 - count:-1]
+
+
+@pytest.mark.parametrize("response", ["constant", "in_a_span_w_keeps"])
+def test_rho_search_rejects_a_wy_in_the_span_of_the_regressors(response):
+    w = rook_lattice(10, 15)
+    if response == "constant":
+        x = np.random.default_rng(9).normal(size=(150, 2))
+        y = np.full(150, 2.5)
+    else:
+        x = eigenvector_scalars(w, 2)
+        y = np.column_stack([np.ones(150), x]) @ [0.5, 3.0, -2.0]
+    message = "rho is not identified: Wy lies in the span of the regressors"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fit(y, scalars=x, weights=w)

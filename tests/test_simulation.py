@@ -212,7 +212,8 @@ def test_a_replication_runs_two_half_size_solves_and_one_dense_log_det(monkeypat
     """The O(n^3) budget of one replication on a 10 x 15 lattice whose shared W
     is already decomposed: gen_response and the fitted values each solve the
     (75, 75) half-size system, full_loglik takes one dense log-det, and W is
-    not decomposed again. FPCA's eigh is on the curves' grid."""
+    not decomposed again. FPCA's eigh is on the curves' grid, and the profile
+    takes one (k, k) triangular solve with the R of Z's one QR."""
     config = SimConfig(n_rows=10, n_cols=15, rho_true=0.4, alpha_decay=1.1, n_reps=1, seed=5)
     weights = spatial.SpatialWeights(rook_lattice(10, 15))
     weights.eigenvalues
@@ -230,10 +231,13 @@ def test_a_replication_runs_two_half_size_solves_and_one_dense_log_det(monkeypat
 
     for name in ("slogdet", "solve", "eigvalsh", "eigvals", "eigh", "eig", "inv", "det"):
         monkeypatch.setattr(np.linalg, name, logged(name))
+    qr, widths = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda z: widths.append(z.shape[1]) or qr(z))
     simulation._replicate(config, weights, truth, 0)
     size = config.grid_size
+    (k,) = widths
     assert sorted(used) == [("eigh", (size, size)), ("slogdet", (150, 150)),
-                            ("solve", (75, 75)), ("solve", (75, 75))]
+                            ("solve", (k, k)), ("solve", (75, 75)), ("solve", (75, 75))]
 
 
 def test_single_replication_report_has_zero_spreads():

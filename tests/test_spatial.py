@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -733,6 +734,20 @@ def test_spectrum_sends_a_weight_off_reversibility_by_1e_9_to_eigvals(monkeypatc
     for rho in (-0.999, 0.4, 0.999):
         assert math.isclose(np.log1p(-rho * lam).sum().real,
                             np.linalg.slogdet(np.eye(len(a)) - rho * a)[1], abs_tol=1e-10)
+
+
+def test_a_dense_w_keeps_16_bytes_per_edge():
+    """SpatialWeights keeps W's edges as int32 i and j and float w_ij, and
+    shares the matrix; w_ji is read from it when the route is found."""
+    w = row_normalize(np.ones((1000, 1000)) - np.eye(1000))
+    tracemalloc.start()
+    try:
+        sw = SpatialWeights(w)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(sw.matrix, w)
+    assert kept <= 16 * 999_000 + 2**16
 
 
 def test_len_is_the_unit_count():
