@@ -9,8 +9,8 @@ from .functional import CurveSample, RawCurveObservations
 from .geometry import closure, ilr, ilr_inv
 from .model import (FitResult, MixedDesign, assemble_design, concentrated_loglik, delta_hat, fit,
                     full_loglik, optimize_rho, sigma2_hat, wald_std_errors)
-from .simulation import (SimConfig, SimReport, format_report_table, report_csv_fields,
-                         run_monte_carlo)
+from .simulation import (SimConfig, SimReport, format_report_table, gen_functional,
+                         report_csv_fields, run_monte_carlo)
 from .spatial import (SpatialWeights, knn_inverse_distance, log_det_system, morans_i,
                       rook_lattice, solve_system)
 
@@ -22,5 +22,6 @@ __all__ = [
     "RawCurveObservations", "CurveSample",
     "closure", "ilr", "ilr_inv",
     "SimConfig", "SimReport", "run_monte_carlo", "format_report_table", "report_csv_fields",
+    "gen_functional",
     "NumericalError",
 ]

@@ -15,13 +15,16 @@ rebuilt from the score coefficients on the retained eigenfunctions; the
 compositional coefficient is the inverse ilr of its coordinate block, or None
 with a warning when a part of it cannot be represented.
 
-Z is factored once per design: each column is divided by its norm, and one
-reduced QR follows. |R_jj| is then the distance of column j, at unit norm, from
-the span of the columns before it, so a block is rank deficient when any of
-its |R_jj| is at most max(n, k) eps = n eps, a rule no change of units moves.
-The same Q and R give both least squares of the profile, and the rho search
-stops with an error when the residual of Wy is at most n eps ||Wy||, as rho is
-then not identified.
+One MixedDesign owns Z's factor and every least squares taken from it: Z with
+unit-norm columns is factored by one reduced QR, whose |R_jj| decide Z's rank by
+a rule no change of units moves, and whose Q and R give the least squares of y
+and of Wy that make the profile O(n) per rho. Two powers of two keep it free of
+units. Each column is divided by one near its largest |entry| before its norm
+is taken. [y, Wy] is divided by s before the least squares: s = 1 unless the
+binary exponent of max |y| is beyond +-128, and else the power of two that
+brings it to +-128. delta, sigma2 and the profile log-likelihood take back a
+factor s, s^2 and a term -n ln s. Dividing by a power of two is exact, so no
+result changes wherever the unscaled formulas neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -49,21 +52,23 @@ from .spatial import RHO_BOUND, MoranReport, SpatialWeights, log_det_system, mor
 
 _RHO_GRID_POINTS = 201
 _EPS = np.finfo(float).eps
+_Y_EXPONENT = 128  # y up to 2^+-128 is taken as is; n of its squares stay well inside floats
 
 
 @dataclass(frozen=True, eq=False)
 class MixedDesign:
-    """Response, stacked regressor matrix, and spatial weights for one fit.
+    """Response, stacked regressor matrix and spatial weights for one fit, and the
+    one owner of Z's factor and of the profile likelihood built on it.
 
     ``blocks`` maps block names ("intercept", "fpc", "ilr", "scalar") to
     column slices of Z; absent covariate types simply have no block.
-    Construction rejects a non-finite y and a W whose size is not y's, and
-    names the first block that adds less than full column rank: Z, its columns
-    divided by their norms, is factored by one reduced QR, and a column counts
-    as independent of those before it when its |R_jj| exceeds n eps. The
-    factor, with the norms, serves the profile. Wy and the design's
-    profile likelihood, which takes it, are built on first use and then
-    shared; ``residuals`` is the one formula for y - rho Wy - Z delta.
+    Construction rejects a non-finite y and a W whose size is not y's. It
+    factors Z = Q R D, D the column norms, and names the first block with an
+    |R_jj| at most n eps, one that adds less than full column rank. With s =
+    ``scale``, the power of two above, it takes [d_y, d_w] = D^-1 R^-1 Q'[y, Wy] / s
+    and [e_y, e_w] = (I - Q Q')[y, Wy] / s, so delta(rho) = (d_y - rho d_w) s and
+    sigma2(rho) = s^2 |e_y - rho e_w|^2 / n, >= 0 even for a noise-free fit.
+    ``residuals`` is the one formula for y - rho Wy - Z delta.
     """
 
     y: np.ndarray
@@ -80,13 +85,21 @@ class MixedDesign:
             raise ValueError(f"weights are {m}x{m} but response has {self.n} rows")
         if self.Z.shape[1] > self.n:
             raise ValueError(f"{self.Z.shape[1]} regressors for only {self.n} observations")
-        norms = np.linalg.norm(self.Z, axis=0)
+        binade = np.ldexp(1.0, np.frexp(np.max(np.abs(self.Z), axis=0))[1] - 1)
+        norms = np.linalg.norm(self.Z / binade, axis=0) * binade
         q, r = np.linalg.qr(self.Z / np.where(norms > 0.0, norms, 1.0))
         independent = np.abs(np.diag(r)) > self.n * _EPS
         for name, span in self.blocks.items():
             if not independent[:span.stop].all():
                 raise ValueError(f"design is rank deficient at block '{name}'")
-        object.__setattr__(self, "_factor", (q, r, norms))
+        exponent = np.frexp(np.max(np.abs(self.y)))[1]
+        scale = np.ldexp(1.0, exponent - np.clip(exponent, -_Y_EXPONENT, _Y_EXPONENT))
+        unit = np.stack([self.y, self.wy]) / scale
+        coords = unit @ q
+        d_y, d_w = np.linalg.solve(r, coords.T).T / norms
+        e_y, e_w = unit - coords @ q.T
+        # set once here, as cached_property sets wy, past the frozen __setattr__
+        self.__dict__.update(scale=scale, d_y=d_y, d_w=d_w, e_y=e_y, e_w=e_w)
 
     @property
     def n(self) -> int:
@@ -100,12 +113,39 @@ class MixedDesign:
     def wy(self) -> np.ndarray:
         return self.W @ self.y
 
-    @cached_property
-    def _profile(self) -> _Profile:
-        return _Profile(self.y, self.wy, *self._factor, self.weights)
-
     def residuals(self, rho: float, delta: np.ndarray) -> np.ndarray:
         return self.y - rho * self.wy - self.Z @ delta
+
+    def delta(self, rho: float) -> np.ndarray:
+        """Least squares of y - rho Wy on Z."""
+        return (self.d_y - rho * self.d_w) * self.scale
+
+    def mean_square(self, rho):
+        """sigma2(rho) / s^2; for an array of rho, one value each."""
+        e = self.e_y - np.multiply.outer(rho, self.e_w)
+        return np.vecdot(e, e) / self.n
+
+    def sigma2(self, rho):
+        """Mean square of y - rho Wy - Z delta(rho); for an array of rho, one value each."""
+        return self.mean_square(rho) * self.scale**2
+
+    def loglik(self, rho: float, ms: float | None = None) -> float:
+        """-(n/2) ln(ms) + ln|I - rho W|, with ms = mean_square(rho) unless given: the
+        profile log-likelihood of y / s at rho, n ln s above that of y."""
+        ms = self.mean_square(rho) if ms is None else ms
+        if not 0.0 < ms < math.inf:
+            raise NumericalError(f"residual variance degenerate at rho={rho}")
+        return -0.5 * self.n * math.log(ms) + log_det_system(rho, self.weights)
+
+    def score(self, rho: float) -> tuple[float, float]:
+        """f = e'e_w - ms tr G with e = e_y - rho e_w and ms = mean_square(rho), the
+        score times sigma2 / s^2 (its sign survives sigma2 -> 0), and
+        f' = -e_w'e_w + (2/n) e'e_w tr G - ms tr G^2."""
+        e = self.e_y - rho * self.e_w
+        e_ew, ms = float(e @ self.e_w), float(e @ e) / self.n
+        tr_g, tr_g2 = self.weights.traces(rho)
+        slope = 2.0 * e_ew * tr_g / self.n - float(self.e_w @ self.e_w) - ms * tr_g2
+        return e_ew - ms * tr_g, slope
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,70 +224,20 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
                        blocks=blocks)
 
 
-class _Profile:
-    """The profile likelihood of one design, O(n) per rho.
-
-    Least squares of y and of Wy, which it takes from the design, on the full
-    rank Z come from the design's factor Z = Q R D, D the column norms: [d_y,
-    d_w] = D^-1 R^-1 Q'[y, Wy], one (k, k) triangular solve, and [e_y, e_w] =
-    [y, Wy] - Q Q'[y, Wy]. They give delta(rho) = d_y - rho d_w and residuals
-    e_y - rho e_w, whose mean square, sigma2(rho), stays >= 0 even where a
-    noise-free fit drives it to zero. It keeps n and the weights, whose
-    spectrum gives the log-det and score traces, not the design, so caching it
-    forms no cycle.
-    """
-
-    def __init__(self, y: np.ndarray, wy: np.ndarray, q: np.ndarray, r: np.ndarray,
-                 norms: np.ndarray, weights: SpatialWeights):
-        self.n = y.size
-        self.weights = weights
-        coords = (y, wy) @ q
-        self.d_y, self.d_w = np.linalg.solve(r, coords.T).T / norms
-        self.e_y, self.e_w = (y, wy) - coords @ q.T
-
-    def delta(self, rho: float) -> np.ndarray:
-        return self.d_y - rho * self.d_w
-
-    def residuals(self, rho):
-        """e_y - rho e_w; for an array of rho, one row per value."""
-        return self.e_y - np.multiply.outer(rho, self.e_w)
-
-    def sigma2(self, rho):
-        """Mean square of the residuals; for an array of rho, one value each."""
-        e = self.residuals(rho)
-        return np.vecdot(e, e) / self.n
-
-    def loglik(self, rho: float, s2: float | None = None) -> float:
-        """The objective at rho; ``s2`` is sigma2(rho) when it is already known."""
-        s2 = self.sigma2(rho) if s2 is None else s2
-        if not 0.0 < s2 < math.inf:
-            raise NumericalError(f"residual variance degenerate at rho={rho}")
-        return -0.5 * self.n * math.log(s2) + log_det_system(rho, self.weights)
-
-    def score(self, rho: float) -> tuple[float, float]:
-        """f = e(rho)'e_w - sigma2 tr G, the score times sigma2 (its sign survives
-        sigma2 -> 0), and f' = -e_w'e_w + (2/n) e(rho)'e_w tr G - sigma2 tr G^2."""
-        e = self.residuals(rho)
-        e_ew, s2 = float(e @ self.e_w), float(e @ e) / self.n
-        tr_g, tr_g2 = self.weights.traces(rho)
-        slope = 2.0 * e_ew * tr_g / self.n - float(self.e_w @ self.e_w) - s2 * tr_g2
-        return e_ew - s2 * tr_g, slope
-
-
-def _profile_at(rho: float, design: MixedDesign) -> _Profile:
+def _within_unit_interval(rho: float) -> float:
     if not abs(rho) < 1.0:
         raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-    return design._profile
+    return rho
 
 
 def delta_hat(rho: float, design: MixedDesign) -> np.ndarray:
     """Closed-form coefficients at fixed rho: least squares of (I - rho W) y on Z."""
-    return _profile_at(rho, design).delta(rho)
+    return design.delta(_within_unit_interval(rho))
 
 
 def sigma2_hat(rho: float, design: MixedDesign) -> float:
     """Mean squared residual (1/n divisor) at the closed-form coefficients."""
-    return _profile_at(rho, design).sigma2(rho)
+    return design.sigma2(_within_unit_interval(rho))
 
 
 def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
@@ -265,7 +255,7 @@ def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
 
 def concentrated_loglik(rho: float, design: MixedDesign) -> float:
     """Profile objective: -(n/2) ln(sigma2_hat(rho)) + ln|I - rho W|."""
-    return _profile_at(rho, design).loglik(rho)
+    return design.loglik(_within_unit_interval(rho)) - design.n * math.log(design.scale)
 
 
 def optimize_rho(design: MixedDesign) -> float:
@@ -273,25 +263,26 @@ def optimize_rho(design: MixedDesign) -> float:
 
     A 201-point grid locates the basin, guarding against local maxima; then
     safeguarded Newton (Press et al., Numerical Recipes, sec. 9.4) on the score
-    times sigma2(rho) closes the best point's bracket to adjacent floats, unless
+    times sigma2(rho) / s^2 closes the best point's bracket to adjacent floats, unless
     that point scores higher. A step that leaves the bracket halves it instead; one
     that stops shrinking, as rounding flattens the score, doubles the last step.
-    Raises ``ValueError`` when rho is not identified: the residual of Wy on Z
-    is at most n eps ||Wy||, as for a constant y.
+    The objective is the design's profile of y / s, which differs from the
+    concentrated log-likelihood by a constant. Raises ``ValueError`` when rho is
+    not identified: the residual of Wy on Z is at most n eps ||Wy||, as for a
+    constant y.
     """
-    profile = design._profile
-    if not math.hypot(*profile.e_w) > design.n * _EPS * math.hypot(*design.wy):
+    if not np.linalg.norm(design.e_w) > design.n * _EPS * np.linalg.norm(design.wy / design.scale):
         raise ValueError("rho is not identified: Wy lies in the span of the regressors")
 
-    def objective(rho: float, s2: float | None = None) -> float:
+    def objective(rho: float, ms: float | None = None) -> float:
         try:
-            return profile.loglik(rho, s2)
+            return design.loglik(rho, ms)
         except NumericalError:
             return -math.inf
 
     grid = np.linspace(-RHO_BOUND, RHO_BOUND, _RHO_GRID_POINTS)
-    sigma2 = profile.sigma2(grid).tolist()
-    vals = np.array([objective(r, s2) for r, s2 in zip(grid.tolist(), sigma2)])
+    ms = design.mean_square(grid).tolist()
+    vals = np.array([objective(r, m) for r, m in zip(grid.tolist(), ms)])
     if not np.any(np.isfinite(vals)):
         raise NumericalError("concentrated log-likelihood is non-finite on the whole rho grid")
     best = int(np.argmax(vals))
@@ -300,7 +291,7 @@ def optimize_rho(design: MixedDesign) -> float:
     rho = min(max(float(grid[best]), math.nextafter(lo, hi)), math.nextafter(hi, lo))
     taken = last_newton = math.inf
     while lo < rho < hi:
-        f, slope = profile.score(rho)
+        f, slope = design.score(rho)
         lo, hi = (rho, hi) if f > 0 else (lo, rho)
         newton = -f / slope if slope else math.nan
         if abs(newton) < 0.5 * last_newton:
@@ -395,7 +386,7 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     else:
         rho_hat = optimize_rho(design)
 
-    delta = design._profile.delta(rho_hat)
+    delta = design.delta(rho_hat)
     resid = design.residuals(rho_hat, delta)
     sigma2 = float(resid @ resid) / design.n
     if sigma2 <= 0.0:
@@ -460,7 +451,7 @@ def wald_std_errors(design: MixedDesign, result: FitResult):
     """
     rho, delta, s2 = result.rho_hat, result.delta_hat, result.sigma2_hat
     params = np.concatenate([[rho], delta, [s2]])
-    e = design.residuals(rho, delta)
+    e = result.residuals
     x = np.column_stack([design.wy, design.Z])  # de/d(rho, delta) = -[Wy | Z]
 
     hess = np.empty((params.size, params.size))

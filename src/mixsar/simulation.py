@@ -13,13 +13,13 @@ Responses solve ``(I - rho W) y = signal + noise_scale * eps`` with the true
 coefficient curve ``0.3 phi_1 + sum_{j>=2} 4 (-1)^(j+1) j^-2 phi_j``, true
 compositional coefficient (4/9, 2/9, 1/3), and true scalar slope 1.
 
-W is built once per setting, as one :class:`~mixsar.spatial.SpatialWeights`
-that the replications' fits share; it is decomposed once, by the first fit or
-the first copy sent to a worker, and every copy carries its eigenvalues. Each
-replication derives an independent generator from ``(seed, rep)``, so results
-are bit-identical for any worker count and aggregation happens in replication
-order. Reported spreads are population (ddof=0) standard deviations, which
-makes a single-replication report show zeros.
+W and the curves' cosine basis are built once per setting. W is one
+:class:`~mixsar.spatial.SpatialWeights` that the replications' fits share,
+decomposed once, by the first fit or the first copy sent to a worker; every copy
+carries its eigenvalues. Each replication derives an independent generator from
+``(seed, rep)``, so results are bit-identical for any worker count and
+aggregation happens in replication order. Reported spreads are population
+(ddof=0) standard deviations, which makes a single-replication report show zeros.
 """
 
 from __future__ import annotations
@@ -117,10 +117,14 @@ def gen_functional(n: int, alpha_decay: float, grid, rng) -> CurveSample:
     """Draw n random curves from the truncated cosine expansion."""
     if alpha_decay <= 1.0:
         raise ValueError("alpha_decay must exceed 1")
+    return _draw_functional(n, alpha_decay, grid, cosine_basis(grid), rng)
+
+
+def _draw_functional(n: int, alpha_decay: float, grid, basis, rng) -> CurveSample:
     j = np.arange(1, N_SERIES_TERMS + 1)
     amps = (-1.0) ** (j + 1) * j ** (-alpha_decay / 2.0)
     z = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, N_SERIES_TERMS))
-    return CurveSample(np.asarray(grid, dtype=float), (z * amps) @ cosine_basis(grid))
+    return CurveSample(np.asarray(grid, dtype=float), (z * amps) @ basis)
 
 
 def true_beta_t(grid) -> np.ndarray:
@@ -177,17 +181,18 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
 def _replicate(config: SimConfig, weights: SpatialWeights, truth: tuple, rep: int) -> tuple:
     """One seeded replication on the setting's lattice: generate, fit, and score.
 
-    ``truth`` is ``(grid, beta_grid, eval_pts, beta_eval)``: the setting's
-    grid and MSE points with the true coefficient curve on each. Returns one
-    flat row, ``(rho_hat, beta_scalar_hat, mse_beta_t, *theta_hat)``: the lag
-    estimate, the scalar slope, the coefficient-curve MSE, then the d-1 ilr
-    coordinates of the compositional coefficient.
+    ``truth`` is ``(grid, basis, beta_grid, eval_pts, beta_eval)``: the
+    setting's grid with the cosine basis on it, and the grid and MSE points with
+    the true coefficient curve on each. Returns one flat row, ``(rho_hat,
+    beta_scalar_hat, mse_beta_t, *theta_hat)``: the lag estimate, the scalar
+    slope, the coefficient-curve MSE, then the d-1 ilr coordinates of the
+    compositional coefficient.
     """
-    grid, beta_grid, eval_pts, beta_eval = truth
+    grid, basis, beta_grid, eval_pts, beta_eval = truth
     rng = np.random.default_rng([config.seed, rep])
     n = config.n_units
 
-    curves = gen_functional(n, config.alpha_decay, grid, rng)
+    curves = _draw_functional(n, config.alpha_decay, grid, basis, rng)
     comps = gen_composition(n, COMP_MEAN, COMP_ILR_COV, rng)
     scalars = rng.normal(SCALAR_MEAN, SCALAR_SD, size=n)
     y = gen_response(
@@ -221,7 +226,7 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimReport:
     weights = SpatialWeights(rook_lattice(config.n_rows, config.n_cols))
     grid = np.linspace(0.0, 1.0, config.grid_size)
     eval_pts = (np.arange(MSE_POINTS) + 0.5) / MSE_POINTS  # cell midpoints, off the cosine extrema
-    truth = (grid, true_beta_t(grid), eval_pts, true_beta_t(eval_pts))
+    truth = (grid, cosine_basis(grid), true_beta_t(grid), eval_pts, true_beta_t(eval_pts))
     task = partial(_replicate, config, weights, truth)
     reps = range(config.n_reps)
     if workers == 1:

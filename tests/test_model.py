@@ -16,7 +16,7 @@ from test_golden import GOLDEN
 
 from mixsar import geometry, model, simulation, spatial
 from mixsar.errors import NumericalError
-from mixsar.functional import CurveSample, trapezoid_weights
+from mixsar.functional import CurveSample, fpca, pve_truncate, scores, trapezoid_weights
 from mixsar.model import (
     MixedDesign,
     assemble_design,
@@ -246,11 +246,9 @@ def test_optimize_rho_finds_an_interior_optimum_near_the_lower_bound():
 def bisect_rho(design):
     """Reference: the rho search before safeguarded Newton. The same grid, then
     bisection on the sign of the score times sigma2(rho) to adjacent floats."""
-    profile = design._profile
-
     def objective(rho):
         try:
-            return profile.loglik(rho)
+            return design.loglik(rho)
         except NumericalError:
             return -np.inf
 
@@ -260,10 +258,10 @@ def bisect_rho(design):
     lo, hi = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)])
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        e = profile.residuals(mid)
-        lam = profile.weights.eigenvalues
+        e = design.e_y - mid * design.e_w
+        lam = design.weights.eigenvalues
         trace = float(np.sum(lam / (1.0 - mid * lam)).real)
-        ascends = e @ profile.e_w - profile.sigma2(mid) * trace > 0
+        ascends = e @ design.e_w - design.mean_square(mid) * trace > 0
         lo, hi = (mid, hi) if ascends else (lo, mid)
         mid = 0.5 * (lo + hi)
     return float(grid[best]) if objective(mid) < vals[best] else mid
@@ -383,9 +381,9 @@ def test_optimize_rho_gallops_where_rounding_flattens_the_score(seed, monkeypatc
 
 @pytest.mark.parametrize("name", sorted(RHO_SEARCH_DESIGNS))
 def test_grid_sigma2_equals_the_scalar_sigma2(name):
-    profile = RHO_SEARCH_DESIGNS[name]()._profile
+    design = RHO_SEARCH_DESIGNS[name]()
     grid = np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS)
-    np.testing.assert_allclose(profile.sigma2(grid), [profile.sigma2(r) for r in grid],
+    np.testing.assert_allclose(design.sigma2(grid), [design.sigma2(r) for r in grid],
                                rtol=1e-14, atol=0)
 
 
@@ -425,8 +423,6 @@ def test_fit_rejects_pinned_rho_outside_unit_interval(rho):
 def test_fit_pinned_zero_rho_reproduces_ols():
     y, curves, comps, x, w = mixed_inputs()
     res = fit(y, curves, comps, x, weights=w, rho=0.0)
-    from mixsar.functional import fpca, pve_truncate, scores
-
     basis = fpca(curves)
     m = pve_truncate(basis.eigenvalues, 0.7)
     z = np.hstack(
@@ -720,6 +716,19 @@ def test_design_with_a_profile_is_freed_without_the_cyclic_collector():
 
 # -- Wald inference --------------------------------------------------------------------------
 
+def test_wald_std_errors_take_the_residuals_of_the_fit(monkeypatch):
+    y, x, w, _ = sar_instance(n_rows=6, n_cols=6, rng=np.random.default_rng(17))
+    passes, residuals = [], MixedDesign.residuals
+
+    def counted(design, rho, delta):
+        passes.append(rho)
+        return residuals(design, rho, delta)
+
+    monkeypatch.setattr(MixedDesign, "residuals", counted)
+    fit(y, scalars=x, weights=w, std_errors=True)
+    assert len(passes) == 2  # the fit's residuals and full_loglik's
+
+
 def test_wald_scale_invariance_of_rho_zscore():
     y, x, w, _ = sar_instance(n_rows=6, n_cols=6, rho=0.4, rng=np.random.default_rng(17))
     res1 = fit(y, scalars=x, weights=w, std_errors=True)
@@ -939,10 +948,12 @@ def test_a_scalar_in_other_units_scales_only_its_coefficient(column):
     y, curves, x, w = units_case()
     base = fit(y, curves, scalars=x, weights=w)
     where = base.column_labels.index(f"x_{column + 1}")
-    for k in range(-12, 16):
+    for k in [*range(-12, 16), -300, -165, 155, 300]:  # the last four square out of range
         scaled = x.copy()
         scaled[:, column] *= 10.0**k
-        res = fit(y, curves, scalars=scaled, weights=w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(y, curves, scalars=scaled, weights=w)
         assert res.rho_hat == pytest.approx(base.rho_hat, rel=1e-12, abs=0), k
         expected = base.delta_hat.copy()
         expected[where] /= 10.0**k
@@ -957,6 +968,30 @@ def test_a_response_in_other_units_scales_the_estimates(k):
     assert res.rho_hat == pytest.approx(base.rho_hat, rel=1e-12, abs=0)
     np.testing.assert_allclose(res.delta_hat, base.delta_hat * 10.0**k, rtol=1e-10, atol=0)
     assert res.sigma2_hat == pytest.approx(base.sigma2_hat * 10.0 ** (2 * k), rel=1e-10, abs=0)
+
+
+def units_design(y, curves, x, w):
+    """The design that fit() builds from units_case() inputs, without fitting."""
+    if curves is None:
+        return assemble_design(y, scalars=x, weights=w)
+    basis = fpca(curves)
+    fpc = scores(curves, basis, pve_truncate(basis.eigenvalues, 0.7))
+    return assemble_design(y, fpc, scalars=x, weights=w)
+
+
+@pytest.mark.parametrize("with_curves", [True, False])
+@pytest.mark.parametrize("k", [-200, -170, -165, -160, 153, 154, 200])
+def test_the_profile_is_free_of_the_units_of_the_response(k, with_curves):
+    y, curves, x, w = units_case()
+    curves = curves if with_curves else None
+    base = units_design(y, curves, x, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = units_design(y * 10.0**k, curves, x, w)
+        assert optimize_rho(scaled) == pytest.approx(optimize_rho(base), rel=1e-12, abs=0)
+        shift = -y.size * k * math.log(10.0)
+        assert concentrated_loglik(0.3, scaled) == pytest.approx(
+            concentrated_loglik(0.3, base) + shift, rel=1e-12, abs=0)
 
 
 def eigenvector_scalars(w, count):

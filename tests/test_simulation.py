@@ -218,7 +218,7 @@ def test_a_replication_runs_two_half_size_solves_and_one_dense_log_det(monkeypat
     weights = spatial.SpatialWeights(rook_lattice(10, 15))
     weights.eigenvalues
     grid = np.linspace(0.0, 1.0, config.grid_size)
-    truth = (grid, true_beta_t(grid), grid, true_beta_t(grid))
+    truth = (grid, cosine_basis(grid), true_beta_t(grid), grid, true_beta_t(grid))
     used = []
 
     def logged(name):
@@ -238,6 +238,20 @@ def test_a_replication_runs_two_half_size_solves_and_one_dense_log_det(monkeypat
     (k,) = widths
     assert sorted(used) == [("eigh", (size, size)), ("slogdet", (150, 150)),
                             ("solve", (k, k)), ("solve", (75, 75)), ("solve", (75, 75))]
+
+
+def test_a_study_builds_the_cosine_basis_once_per_setting(monkeypatch):
+    calls = []
+    basis = simulation.cosine_basis
+    monkeypatch.setattr(simulation, "cosine_basis",
+                        lambda *args, **kwargs: calls.append(args) or basis(*args, **kwargs))
+    counts = []
+    for n_reps in (2, 6):
+        calls.clear()
+        run_monte_carlo(SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1,
+                                  n_reps=n_reps, seed=1))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_single_replication_report_has_zero_spreads():
