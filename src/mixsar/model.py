@@ -445,14 +445,17 @@ def wald_std_errors(design: MixedDesign, result: FitResult):
     The Hessian of the full log-likelihood at (rho, delta, sigma2) is taken
     in closed form (Anselin 1988; Lee 2004). Beyond cross products of
     [Wy | Z] and the residual e, it needs tr(G^2) with G = (I - rho W)^-1 W,
-    taken from W's eigenvalues. Returns (std_errors, p_values) ordered
-    [rho, *delta, sigma2], or None with a warning when the Hessian is not
-    negative definite there.
+    taken from W's eigenvalues. It is the Hessian of y / s, s = the design's
+    ``scale``, at (rho, delta / s, sigma2 / s^2), so that no power of sigma2
+    leaves the float range; the standard errors take back s and s^2. Returns
+    (std_errors, p_values) ordered [rho, *delta, sigma2], or None with a
+    warning when the Hessian is not negative definite there.
     """
-    rho, delta, s2 = result.rho_hat, result.delta_hat, result.sigma2_hat
+    s = design.scale
+    rho, delta, s2 = result.rho_hat, result.delta_hat / s, result.sigma2_hat / s**2
     params = np.concatenate([[rho], delta, [s2]])
-    e = result.residuals
-    x = np.column_stack([design.wy, design.Z])  # de/d(rho, delta) = -[Wy | Z]
+    e = result.residuals / s
+    x = np.column_stack([design.wy / s, design.Z])  # d(e/s)/d(rho, delta/s) = -[Wy/s | Z]
 
     hess = np.empty((params.size, params.size))
     hess[:-1, :-1] = -(x.T @ x) / s2
@@ -472,4 +475,4 @@ def wald_std_errors(design: MixedDesign, result: FitResult):
     se = np.sqrt(diag)
     z = params / se
     pvals = np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in z])
-    return se, pvals
+    return se * np.concatenate([[1.0], np.full(delta.size, s), [s * s]]), pvals

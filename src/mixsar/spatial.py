@@ -28,9 +28,9 @@ lambda^2 alone: ln|I - rho W| = sum ln(1 - rho^2 lambda^2) over the pairs,
 and the traces likewise. Any other W is decomposed by the general ``eigvals``.
 
 The same split solves the system. A :class:`SpatialWeights` with a reversible
-bipartite W keeps G and B's non-zeros, and ``solve_system`` turns
-(I - rho W) x = c into one (n1, n1) solve with I - rho^2 G, whose eigenvalues
-lie in [1 - rho^2, 1].
+bipartite W keeps the smaller colour class, sqrt(pi) on it, and G, and
+``solve_system`` turns (I - rho W) x = c into one (n1, n1) solve with
+I - rho^2 G, whose eigenvalues lie in [1 - rho^2, 1], and two products with W.
 An array, and any other W, is solved by a pivoted LU of I - rho W.
 """
 
@@ -241,7 +241,7 @@ def solve_system(rho: float, w, rhs) -> np.ndarray:
         raise ValueError(f"right-hand side has shape {np.shape(rhs)} but W has {shape}")
     try:
         if isinstance(split, _Bipartite):
-            x = split.solve(rho, np.asarray(rhs, dtype=float))
+            x = split.solve(rho, w.matrix, np.asarray(rhs, dtype=float))
         else:
             x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
@@ -263,36 +263,28 @@ class _Bipartite:
     """A reversible bipartite W, split by colour class.
 
     With pi from :func:`_search`, S = Pi^1/2 W Pi^-1/2 is [[0, B], [B', 0]] in
-    the order (a, b) of the colour classes, a being the smaller, of n1 units.
-    B's non-zeros are b_pq = ``half[e]`` at p = ``rows[e]``, q = ``cols[e]``;
-    ``gram`` is G = B B', (n1, n1).
+    the order (a, b) of the colour classes. It keeps ``a``, the smaller, of n1
+    units, ``root`` = sqrt(pi) on a, and ``gram``, G = B B', (n1, n1).
     """
 
     a: np.ndarray
-    b: np.ndarray
-    sqrt_pi: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    half: np.ndarray
+    root: np.ndarray
     gram: np.ndarray
 
-    def solve(self, rho: float, rhs: np.ndarray) -> np.ndarray:
-        """(I - rho W) x = rhs by one (n1, n1) solve. With u = Pi^1/2 x and
-        r = Pi^1/2 rhs, (I - rho S) u = r splits into (I - rho^2 G) u_a =
-        r_a + rho B r_b, whose matrix has its eigenvalues in [1 - rho^2, 1],
-        and u_b = r_b + rho B' u_a."""
-        r = self.sqrt_pi[:, None] * rhs.reshape(rhs.shape[0], -1)
-        r_a, r_b = r[self.a], r[self.b]
-        b_r = np.zeros_like(r_a)
-        np.add.at(b_r, self.rows, self.half[:, None] * r_b[self.cols])
+    def solve(self, rho: float, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """(I - rho W) x = rhs, for this split's W, by one (n1, n1) solve. As
+        W_aa = W_bb = 0 and W_ab W_ba = Pi_a^-1/2 G Pi_a^1/2, x_a =
+        Pi_a^-1/2 (I - rho^2 G)^-1 Pi_a^1/2 (rhs_a + rho (W rhs)_a), whose
+        matrix has its eigenvalues in [1 - rho^2, 1], and x_b = rhs_b +
+        rho (W x)_b, with x taken as 0 on b. W multiplies rhs in its own shape."""
+        root = np.expand_dims(self.root, tuple(range(1, rhs.ndim)))
         m = -(rho * rho) * self.gram
         m.flat[::m.shape[0] + 1] += 1.0
-        u_a = np.linalg.solve(m, r_a + rho * b_r)
-        bt_u = np.zeros_like(r_b)
-        np.add.at(bt_u, self.cols, self.half[:, None] * u_a[self.rows])
-        u = np.empty_like(r)
-        u[self.a], u[self.b] = u_a, r_b + rho * bt_u
-        return (u / self.sqrt_pi[:, None]).reshape(rhs.shape)
+        x = np.zeros_like(rhs)
+        x[self.a] = np.linalg.solve(m, root * (rhs[self.a] + rho * (w @ rhs)[self.a])) / root
+        out = rhs + rho * (w @ x)
+        out[self.a] = x[self.a]
+        return out
 
 
 def _route_of(n: int, edges) -> str | _Bipartite:
@@ -303,9 +295,9 @@ def _route_of(n: int, edges) -> str | _Bipartite:
     with pi from :func:`_search`, agree on every edge to a relative tau =
     ``_REVERSIBLE_RTOL``. Returns "eigvals" for a W that is not, "eigvalsh"
     for a reversible W with an edge inside a colour class, and the
-    :class:`_Bipartite` split of any other W. B's non-zeros come from the
-    edges: b_pq = sqrt(w_ij w_ji) for unit i, the p-th of class a, and j,
-    the q-th of class b.
+    :class:`_Bipartite` split of any other W. Its G is formed from B,
+    scattered from the edges into a dense temporary: b_pq = sqrt(w_ij w_ji)
+    for unit i, the p-th of class a, and j, the q-th of class b.
     """
     i, j, w_ij, w_ji = edges
     if not np.all(w_ji > 0):
@@ -321,15 +313,14 @@ def _route_of(n: int, edges) -> str | _Bipartite:
     rank = np.empty(n, dtype=np.intp)
     rank[a], rank[b] = np.arange(a.size), np.arange(b.size)
     out = in_a[i]
-    rows, cols, half = rank[i[out]], rank[j[out]], np.sqrt(w_ij[out] * w_ji[out])
     dense = np.zeros((a.size, b.size))
-    dense[rows, cols] = half
-    return _Bipartite(a, b, np.sqrt(pi), rows, cols, half, dense @ dense.T)
+    dense[rank[i[out]], rank[j[out]]] = np.sqrt(w_ij[out] * w_ji[out])
+    return _Bipartite(a, np.sqrt(pi[a]), dense @ dense.T)
 
 
-def _spectrum(w: np.ndarray, route: str | _Bipartite | None = None) -> np.ndarray:
-    """W's eigenvalues, from the cheapest matrix that W's ``route`` allows
-    (:func:`_route_of`, found here when not given).
+def _spectrum(w: np.ndarray, route: str | _Bipartite) -> np.ndarray:
+    """W's eigenvalues, from the cheapest matrix that W's ``route``
+    (:func:`_route_of`) allows.
 
     Every eigenvalue of a reversible W lies within (tau / 2)(1 + O(tau)) of
     one of S = sqrt(W o W'), by Bauer-Fike, as S is normal. For a bipartite W
@@ -339,8 +330,6 @@ def _spectrum(w: np.ndarray, route: str | _Bipartite | None = None) -> np.ndarra
     alone. Other reversible W take ``eigvalsh(S)``, and every other W
     ``eigvals(W)``. No I - rho W is formed.
     """
-    if route is None:
-        route = _route_of(len(w), _edges(w))
     if route == "eigvals":
         return np.linalg.eigvals(w)
     if route == "eigvalsh":
@@ -391,8 +380,8 @@ class SpatialWeights:
     per edge; W's route (:func:`_route_of`) is found from them and w_ji, read
     from the matrix again, on the first solve or decomposition. For a
     reversible bipartite W it keeps G, 8 n1^2 bytes, 1.6 MB on a 30 x 30 rook
-    lattice, and B's non-zeros, which serve the decomposition and every
-    :func:`solve_system` with the object.
+    lattice, and the smaller colour class with sqrt(pi) on it, 16 n1 bytes:
+    with the matrix, they serve the decomposition and every :func:`solve_system`.
     A pickled copy does not carry the route; it finds it on first use.
     """
 

@@ -1,5 +1,6 @@
-"""The package's imports agree with its declared runtime dependencies, and
-every public name it ships is declared in ``mixsar.__all__`` or used."""
+"""The package's imports agree with its declared runtime dependencies, every
+public name it ships is declared in ``mixsar.__all__`` or used, and no module
+imports another's private names."""
 
 import ast
 import importlib
@@ -138,6 +139,17 @@ def test_every_public_name_is_declared_or_used():
             if node.name not in used and node.name not in mixsar.__all__:
                 unused.append(f"{name}.{node.name}")
     assert not unused, f"public but neither in mixsar.__all__ nor used in src/mixsar: {unused}"
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """An underscore name is used only in the module that defines it."""
+    assert _uses_from(ast.parse("from .spatial import _edges"), "spatial") == {"_edges"}
+    modules = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SRC.glob("*.py"))}
+    crossing = [f"{stem} uses {name}.{used}" for stem, tree in modules.items()
+                for name in modules if name != stem
+                for used in sorted(_uses_from(tree, name)) if used.startswith("_")]
+    assert not crossing, crossing
 
 
 def test_the_package_defines_nothing_and_star_import_binds_the_defining_objects():

@@ -960,14 +960,20 @@ def test_a_scalar_in_other_units_scales_only_its_coefficient(column):
         np.testing.assert_allclose(res.delta_hat, expected, rtol=1e-10, atol=0, err_msg=k)
 
 
-@pytest.mark.parametrize("k", [-100, -10, -3, 3, 10, 100])
+@pytest.mark.parametrize("k", [-153, -100, -54, -10, -3, 3, 10, 52, 100, 152])
 def test_a_response_in_other_units_scales_the_estimates(k):
     y, curves, x, w = units_case()
-    base = fit(y, curves, scalars=x, weights=w)
-    res = fit(y * 10.0**k, curves, scalars=x, weights=w)
+    base = fit(y, curves, scalars=x, weights=w, std_errors=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fit(y * 10.0**k, curves, scalars=x, weights=w, std_errors=True)
     assert res.rho_hat == pytest.approx(base.rho_hat, rel=1e-12, abs=0)
     np.testing.assert_allclose(res.delta_hat, base.delta_hat * 10.0**k, rtol=1e-10, atol=0)
     assert res.sigma2_hat == pytest.approx(base.sigma2_hat * 10.0 ** (2 * k), rel=1e-10, abs=0)
+    # the Wald SEs of rho, delta and sigma2 scale by 1, 10^k and 10^2k; the p-values stay
+    units = np.concatenate([[1.0], np.full(base.delta_hat.size, 10.0**k), [10.0 ** (2 * k)]])
+    np.testing.assert_allclose(res.std_errors, base.std_errors * units, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(res.p_values, base.p_values, rtol=1e-10, atol=0)
 
 
 def units_design(y, curves, x, w):

@@ -625,12 +625,17 @@ def test_a_copy_pickled_before_the_first_decomposition_carries_the_spectrum(monk
     assert len(calls) == 1
 
 
+def spectrum(w):
+    """W's eigenvalues by the route that a SpatialWeights of W finds."""
+    return spatial._spectrum(w, spatial._route_of(len(w), spatial._edges(w)))
+
+
 def test_spectrum_forms_no_system_matrix_and_runs_no_slogdet(monkeypatch):
     used = []
     monkeypatch.setattr(spatial, "_system_matrix", lambda rho, w: used.append("_system_matrix"))
     monkeypatch.setattr(np.linalg, "slogdet", lambda a: used.append("slogdet"))
     for w in (rook_lattice(3, 4), queen_lattice(3, 4), asymmetric_on_lattice(3, 4)):
-        spatial._spectrum(w)
+        spectrum(w)
     assert used == []
 
 
@@ -727,9 +732,9 @@ def test_spectrum_route_log_det_and_traces_match_dense(w, route, monkeypatch):
 def test_spectrum_sends_a_weight_off_reversibility_by_1e_9_to_eigvals(monkeypatch):
     a = symmetric_on_lattice(6, 8)
     used = log_linalg(monkeypatch)
-    spatial._spectrum(a)
+    spectrum(a)
     a[5, 6] *= 1.0 + 1e-9  # one direction of one edge: pi_5 w_56 and pi_6 w_65 now differ
-    lam = spatial._spectrum(a)
+    lam = spectrum(a)
     assert [name for name, _ in used] == ["eigvalsh", "eigvals"]
     for rho in (-0.999, 0.4, 0.999):
         assert math.isclose(np.log1p(-rho * lam).sum().real,
@@ -748,6 +753,20 @@ def test_a_dense_w_keeps_16_bytes_per_edge():
         tracemalloc.stop()
     assert np.shares_memory(sw.matrix, w)
     assert kept <= 16 * 999_000 + 2**16
+
+
+def test_the_bipartite_split_keeps_g_and_no_copy_of_b():
+    """The route of a 30 x 30 rook lattice keeps G, 8 n1^2 bytes, and at most
+    16 bytes per unit beside it: the smaller colour class and sqrt(pi) on it."""
+    sw = SpatialWeights(rook_lattice(30, 30))
+    tracemalloc.start()
+    try:
+        split = sw._route
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert split.gram.shape == (450, 450)
+    assert kept <= 8 * 450**2 + 16 * 900
 
 
 def test_len_is_the_unit_count():
