@@ -53,6 +53,13 @@ from .spatial import RHO_BOUND, MoranReport, SpatialWeights, log_det_system, mor
 _RHO_GRID_POINTS = 201
 _EPS = np.finfo(float).eps
 _Y_EXPONENT = 128  # y up to 2^+-128 is taken as is; n of its squares stay well inside floats
+_SIGMA_EXPONENT = 480  # sigma up to 2^+-480 is taken as is by full_loglik
+
+
+def _unit_scale(x: float, limit: int) -> float:
+    """1 while |x| is within 2^+-limit, and else the power of two that brings it there."""
+    exponent = np.frexp(x)[1]
+    return np.ldexp(1.0, exponent - np.clip(exponent, -limit, limit))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +99,7 @@ class MixedDesign:
         for name, span in self.blocks.items():
             if not independent[:span.stop].all():
                 raise ValueError(f"design is rank deficient at block '{name}'")
-        exponent = np.frexp(np.max(np.abs(self.y)))[1]
-        scale = np.ldexp(1.0, exponent - np.clip(exponent, -_Y_EXPONENT, _Y_EXPONENT))
+        scale = _unit_scale(np.max(np.abs(self.y)), _Y_EXPONENT)
         unit = np.stack([self.y, self.wy]) / scale
         coords = unit @ q
         d_y, d_w = np.linalg.solve(r, coords.T).T / norms
@@ -241,15 +247,23 @@ def sigma2_hat(rho: float, design: MixedDesign) -> float:
 
 
 def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
-    """Gaussian log-likelihood of the spatial-lag system at given parameters."""
+    """Gaussian log-likelihood of the spatial-lag system at given parameters.
+
+    It is that of e / q at sigma2 / q^2, less n ln q, for q a power of two: 1
+    while sigma is within 2^+-480, and else the one that brings it there, so
+    that neither 2 pi sigma2 nor e'e leaves the float range.
+    """
     if not sigma2 > 0.0:
         raise ValueError("sigma2 must be positive")
-    e = design.residuals(rho, np.asarray(delta, dtype=float))
     n = design.n
+    q = _unit_scale(math.sqrt(sigma2), _SIGMA_EXPONENT)
+    e = design.residuals(rho, np.asarray(delta, dtype=float)) / q
+    ms = sigma2 / q / q
     return float(
-        -0.5 * n * np.log(2.0 * np.pi * sigma2)
+        -0.5 * n * np.log(2.0 * np.pi * ms)
         + log_det_system(rho, design.W)
-        - (e @ e) / (2.0 * sigma2)
+        - (e @ e) / (2.0 * ms)
+        - n * math.log(q)
     )
 
 
@@ -329,10 +343,11 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
         Compositional covariate rows (validated against the simplex).
     scalars : array_like, shape (n,) or (n, q) | None
         Numerical covariates.
-    weights : array_like, shape (n, n), or SpatialWeights
-        Row-stochastic spatial weights, no isolated units. Fits that share one
-        :class:`~mixsar.spatial.SpatialWeights` decompose W once; an array is
-        wrapped in a fresh one for this fit.
+    weights : SpatialWeights, or array_like, shape (n, n)
+        Row-stochastic spatial weights, no isolated units, such as what
+        ``rook_lattice`` or ``knn_inverse_distance`` returns. Fits that share
+        one :class:`~mixsar.spatial.SpatialWeights` check W once and decompose
+        it once; an array is checked and wrapped in a fresh one for this fit.
     pve : float
         Share of the total FPCA eigenvalue mass the retained components must
         reach, in (0, 1].
@@ -386,9 +401,12 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     else:
         rho_hat = optimize_rho(design)
 
+    # sums of squares are taken at the design's unit scale s, an exact power of two
+    s = float(design.scale)
     delta = design.delta(rho_hat)
     resid = design.residuals(rho_hat, delta)
-    sigma2 = float(resid @ resid) / design.n
+    unit = resid / s
+    sigma2 = float(unit @ unit) / design.n * s * s
     if sigma2 <= 0.0:
         raise NumericalError("exact fit: residual variance is zero")
     loglik = full_loglik(rho_hat, delta, sigma2, design)
@@ -410,8 +428,9 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
             warnings.warn(f"beta_comp_hat is None ({exc}); theta_hat holds the estimate")
 
     fitted = solve_system(rho_hat, design.weights, design.Z @ delta)
-    sse = float(np.sum((design.y - fitted) ** 2))
-    sst = float(np.sum((design.y - design.y.mean()) ** 2))
+    y_unit = design.y / s
+    sse = float(np.sum((y_unit - fitted / s) ** 2))
+    sst = float(np.sum((y_unit - y_unit.mean()) ** 2))
     r_squared = 1.0 - sse / sst if sst > 0 else float("nan")
     result = FitResult(
         rho_hat=rho_hat,
@@ -428,8 +447,8 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
         fitted=fitted,
         residuals=resid,
         r_squared=r_squared,
-        mse_fitted=sse / design.n,
-        residual_moran=morans_i(resid, design.weights),
+        mse_fitted=sse / design.n * s * s,
+        residual_moran=morans_i(unit, design.weights),
         column_labels=design.column_labels,
     )
     if std_errors:

@@ -13,13 +13,15 @@ Responses solve ``(I - rho W) y = signal + noise_scale * eps`` with the true
 coefficient curve ``0.3 phi_1 + sum_{j>=2} 4 (-1)^(j+1) j^-2 phi_j``, true
 compositional coefficient (4/9, 2/9, 1/3), and true scalar slope 1.
 
-W and the curves' cosine basis are built once per setting. W is one
-:class:`~mixsar.spatial.SpatialWeights` that the replications' fits share,
-decomposed once, by the first fit or the first copy sent to a worker; every copy
-carries its eigenvalues. Each replication derives an independent generator from
-``(seed, rep)``, so results are bit-identical for any worker count and
-aggregation happens in replication order. Reported spreads are population
-(ddof=0) standard deviations, which makes a single-replication report show zeros.
+W and the curves' cosine basis are built once per setting. W is the one
+:class:`~mixsar.spatial.SpatialWeights` that ``rook_lattice`` returns, which
+the replications' responses and fits share: it is checked once, when built,
+and decomposed once, by the first fit or the first copy sent to a worker;
+every copy carries its eigenvalues. Each replication derives an independent
+generator from ``(seed, rep)``, so results are bit-identical for any worker
+count and aggregation happens in replication order. Reported spreads are
+population (ddof=0) standard deviations, which makes a single-replication
+report show zeros.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimReport:
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     t0 = time.perf_counter()
-    weights = SpatialWeights(rook_lattice(config.n_rows, config.n_cols))
+    weights = rook_lattice(config.n_rows, config.n_cols)
     grid = np.linspace(0.0, 1.0, config.grid_size)
     eval_pts = (np.arange(MSE_POINTS) + 0.5) / MSE_POINTS  # cell midpoints, off the cosine extrema
     truth = (grid, cosine_basis(grid), true_beta_t(grid), eval_pts, true_beta_t(eval_pts))

@@ -2,13 +2,16 @@
 
 Weight matrices are dense ``(n, n)`` float arrays with zero diagonals and row
 sums of 1 (all-zero rows mark isolated units and are rejected by consumers
-that need a fully connected system). Constructors here always return
-row-normalized matrices. Weights travel either as such arrays or as a
-:class:`SpatialWeights`: one validated, fully connected matrix that answers
-what fits ask of W: its unit count, its eigenvalues, computed once and carried
-by every copy, which make each ln|I - rho W| O(n) (Ord 1975), and the traces
-of (I - rho W)^-1 W and its square. This module owns I - rho W: one builder,
-which checks |rho| < 1, serves the dense ``log_det_system`` and ``solve_system``.
+that need a fully connected system). Weights travel either as such arrays or
+as a :class:`SpatialWeights`: one validated, fully connected matrix that
+answers what fits ask of W: its unit count, its eigenvalues, computed once and
+carried by every copy, which make each ln|I - rho W| O(n) (Ord 1975), and the
+traces of (I - rho W)^-1 W and its square. The constructors here,
+``rook_lattice`` and ``knn_inverse_distance``, return a row-normalized
+:class:`SpatialWeights`, so that W is checked when it is built and decomposed
+once for every fit, solve and Moran's I that shares it. This module owns
+I - rho W: one builder, which checks |rho| < 1, serves the dense
+``log_det_system`` and ``solve_system``.
 
 W's eigenvalues come from a symmetric matrix whenever W allows it. W = D^-1 A
 with symmetric A, as rook and other symmetric contiguity weights are, is
@@ -101,8 +104,9 @@ def row_normalize(w) -> np.ndarray:
     return w / sums[:, None]
 
 
-def rook_lattice(n_rows: int, n_cols: int) -> np.ndarray:
-    """Row-normalized rook-contiguity weights on an R x T grid.
+def rook_lattice(n_rows: int, n_cols: int) -> SpatialWeights:
+    """Row-normalized rook-contiguity weights on an R x T grid, as a
+    :class:`SpatialWeights`; its ``matrix`` is the (n, n) array.
 
     Units are indexed row-major; two cells are neighbours when they share a
     border (one step horizontally or vertically).
@@ -117,7 +121,7 @@ def rook_lattice(n_rows: int, n_cols: int) -> np.ndarray:
     adj = np.zeros((n, n))
     for a, b in ((cell[:, :-1], cell[:, 1:]), (cell[:-1], cell[1:])):
         adj[a, b] = adj[b, a] = 1.0
-    return row_normalize(adj)
+    return SpatialWeights(row_normalize(adj))
 
 
 def pairwise_distances(locations, metric: str = "euclidean") -> np.ndarray:
@@ -145,8 +149,10 @@ def pairwise_distances(locations, metric: str = "euclidean") -> np.ndarray:
     raise ValueError(f"unknown metric {metric!r}; use 'euclidean' or 'greatcircle'")
 
 
-def knn_inverse_distance(locations, k: int, cutoff: float, metric: str = "euclidean") -> np.ndarray:
-    """Inverse-distance weights over the k nearest neighbours within a cutoff.
+def knn_inverse_distance(locations, k: int, cutoff: float,
+                         metric: str = "euclidean") -> SpatialWeights:
+    """Inverse-distance weights over the k nearest neighbours within a cutoff,
+    as a :class:`SpatialWeights`; its ``matrix`` is the (n, n) array.
 
     For each unit the k nearest other units with distance <= cutoff are kept
     (ties at the k-th distance resolved toward the lower index), weighted by
@@ -176,7 +182,7 @@ def knn_inverse_distance(locations, k: int, cutoff: float, metric: str = "euclid
     if isolated:
         raise ValueError(f"units with no neighbour within cutoff {cutoff}: {isolated}")
     w = np.where(within, 1.0 / dist, 0.0)
-    return row_normalize(w)
+    return SpatialWeights(row_normalize(w))
 
 
 def _check_rho(rho: float) -> None:
@@ -368,7 +374,12 @@ class SpatialWeights:
 
     ``matrix`` is what ``validate_weights(w, allow_isolated=False)`` returns,
     made read-only; it shares memory with ``w`` when ``w`` already is a float
-    array, so ``w`` must not change afterwards. ``len`` is n. ``eigenvalues``
+    array, so ``w`` must not change afterwards. ``len`` is n and ``shape`` is
+    (n, n). Through numpy's array protocol, ``np.asarray(weights)`` is the
+    read-only matrix and ``np.array(weights)`` a writable copy; arithmetic and
+    indexing go through ``matrix``. W is checked and its edges found once per
+    object, and its route and eigenvalues at most once, so that every fit,
+    solve and Moran's I that shares the object reuses them. ``eigenvalues``
     (read-only, real or complex) is computed on first use, ``traces`` comes
     from it, and a pickled copy carries it. For a bipartite reversible W, such
     as a rook lattice, eigenvalues near zero are accurate to about sqrt(eps)
@@ -395,6 +406,13 @@ class SpatialWeights:
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
     @cached_property
     def _route(self) -> str | _Bipartite:

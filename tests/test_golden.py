@@ -50,7 +50,7 @@ def scalar_case():
     n = w.shape[0]
     x = rng.normal(size=(n, 2))
     signal = 0.5 + x @ np.array([1.0, -0.7])
-    y = np.linalg.solve(np.eye(n) - 0.4 * w, signal + 0.5 * rng.standard_normal(n))
+    y = np.linalg.solve(np.eye(n) - 0.4 * w.matrix, signal + 0.5 * rng.standard_normal(n))
     return dict(y=y, scalars=x, weights=w, std_errors=True)
 
 
@@ -63,7 +63,7 @@ def mixed_case():
     curves = gen_functional(n, 1.1, grid, rng)
     comps = gen_composition(n, COMP_MEAN, COMP_ILR_COV, rng)
     x = rng.normal(SCALAR_MEAN, SCALAR_SD, n)
-    y = gen_response(w, 0.4, curves, true_beta_t(grid), comps, TRUE_COMP_COEF, x,
+    y = gen_response(w.matrix, 0.4, curves, true_beta_t(grid), comps, TRUE_COMP_COEF, x,
                      TRUE_SCALAR_COEF, 1.0, rng)
     return dict(y=y, curves=curves, compositions=comps, scalars=x, weights=w,
                 std_errors=True)
@@ -77,7 +77,7 @@ def raw_curve_case():
     times = np.sort(rng.uniform(0.0, 1.0, n_obs))
     latent = gen_functional(n, 1.1, times, rng)
     x = rng.normal(SCALAR_MEAN, SCALAR_SD, n)
-    y = gen_response(w, 0.3, latent, true_beta_t(times), None, None, x, TRUE_SCALAR_COEF,
+    y = gen_response(w.matrix, 0.3, latent, true_beta_t(times), None, None, x, TRUE_SCALAR_COEF,
                      1.0, rng)
     raw = RawCurveObservations(times, latent.values + 0.05 * rng.standard_normal((n, n_obs)))
     return dict(y=y, curves=raw, scalars=x, weights=w, derivative=True, std_errors=True)
@@ -148,7 +148,7 @@ def dense_score_root(case) -> float:
     rho, so two pinned-rho fits give e_y and e_w; neither W's spectrum nor the
     rho search is used. Bisection runs until the ends are adjacent floats.
     """
-    w = case["weights"]
+    w = case["weights"].matrix
     n = w.shape[0]
     options = {k: v for k, v in case.items() if k != "std_errors"}
     e_y = fit(**options, rho=0.0).residuals

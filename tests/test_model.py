@@ -35,7 +35,7 @@ RNG = np.random.default_rng(1234)
 
 def sar_instance(n_rows=4, n_cols=5, rho=0.4, q=2, noise=0.5, rng=RNG, subtract=0):
     """Scalar-covariate SAR draw: returns (y, X, W, delta_true)."""
-    w = rook_lattice(n_rows, n_cols)
+    w = rook_lattice(n_rows, n_cols).matrix
     n = n_rows * n_cols - subtract
     w = w[:n, :n]
     if subtract:
@@ -272,7 +272,8 @@ def knn_design(n=40, rho=0.5, seed=4):
     rng = np.random.default_rng(seed)
     w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(n, 2)), k=4, cutoff=100.0)
     x = rng.normal(size=(n, 2))
-    y = np.linalg.solve(np.eye(n) - rho * w, 0.5 + x @ [1.0, -0.7] + 0.5 * rng.normal(size=n))
+    y = np.linalg.solve(np.eye(n) - rho * w.matrix,
+                        0.5 + x @ [1.0, -0.7] + 0.5 * rng.normal(size=n))
     return make_design(y, x, w)
 
 
@@ -280,7 +281,7 @@ def noise_free_design():
     rng = np.random.default_rng(5)
     w = rook_lattice(10, 10)
     x = rng.normal(size=(100, 2))
-    y = np.linalg.solve(np.eye(100) - 0.6 * w, 0.7 + x @ [-1.2, 2.0])
+    y = np.linalg.solve(np.eye(100) - 0.6 * w.matrix, 0.7 + x @ [-1.2, 2.0])
     return make_design(y, x, w)
 
 
@@ -330,7 +331,8 @@ def test_optimize_rho_matches_the_bisection_reference_on_random_designs(kind, n_
     else:
         w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(n, 2)), k=4, cutoff=100.0)
     x = rng.normal(size=(n, 2))
-    y = np.linalg.solve(np.eye(n) - rho * w, 0.5 + x @ [1.0, -0.7] + 0.5 * rng.normal(size=n))
+    y = np.linalg.solve(np.eye(n) - rho * w.matrix,
+                        0.5 + x @ [1.0, -0.7] + 0.5 * rng.normal(size=n))
     d = make_design(y, x, w)
     assert_within_one_ulp(optimize_rho(d), bisect_rho(d))
 
@@ -409,7 +411,7 @@ def mixed_inputs(n_rows=5, n_cols=6, rho=0.4, seed=11):
         + geometry.ilr(comps) @ geometry.ilr(beta_comp)
         + 1.0 * x
     )
-    y = np.linalg.solve(np.eye(n) - rho * w, signal + 0.5 * rng.normal(size=n))
+    y = np.linalg.solve(np.eye(n) - rho * w.matrix, signal + 0.5 * rng.normal(size=n))
     return y, curves, comps, x, w
 
 
@@ -442,7 +444,7 @@ def test_fit_residual_identity_and_diagnostics():
     res = fit(y, curves, comps, x, weights=w)
     delta = res.delta_hat
     scores_m = res.b_hat.size
-    e_check = y - res.rho_hat * (w @ y)
+    e_check = y - res.rho_hat * (w.matrix @ y)
     # rebuild Z exactly as fit assembles it
     from mixsar.functional import fpca, scores
 
@@ -452,7 +454,7 @@ def test_fit_residual_identity_and_diagnostics():
     )
     np.testing.assert_allclose(res.residuals, e_check - z @ delta, atol=1e-10)
     # reduced-form fitted values and the definitional diagnostics
-    fitted = np.linalg.solve(np.eye(y.size) - res.rho_hat * w, z @ delta)
+    fitted = np.linalg.solve(np.eye(y.size) - res.rho_hat * w.matrix, z @ delta)
     np.testing.assert_allclose(res.fitted, fitted, atol=1e-10)
     sse = np.sum((y - fitted) ** 2)
     assert res.mse_fitted == pytest.approx(sse / y.size, rel=1e-12)
@@ -466,7 +468,7 @@ def test_fit_noise_free_recovers_parameters():
     w = rook_lattice(10, 10)
     x = rng.normal(size=(n, 2))
     delta_true = np.array([0.7, -1.2, 2.0])
-    y = np.linalg.solve(np.eye(n) - 0.6 * w, delta_true[0] + x @ delta_true[1:])
+    y = np.linalg.solve(np.eye(n) - 0.6 * w.matrix, delta_true[0] + x @ delta_true[1:])
     res = fit(y, scalars=x, weights=w)
     assert res.rho_hat == pytest.approx(0.6, abs=1e-4)
     np.testing.assert_allclose(
@@ -497,7 +499,7 @@ def test_fit_permutation_equivariance():
         CurveSample(curves.grid, curves.values[perm]),
         comps[perm],
         x[perm],
-        weights=w[np.ix_(perm, perm)],
+        weights=w.matrix[np.ix_(perm, perm)],
     )
     assert res_p.rho_hat == pytest.approx(res.rho_hat, abs=1e-8)
     assert res_p.sigma2_hat == pytest.approx(res.sigma2_hat, rel=1e-8)
@@ -532,7 +534,7 @@ def test_fit_returns_theta_hat_when_the_composition_underflows(scale):
     curves = simulation.gen_functional(150, 1.1, grid, rng)
     comps = simulation.gen_composition(150, simulation.COMP_MEAN, simulation.COMP_ILR_COV, rng)
     x = rng.normal(simulation.SCALAR_MEAN, simulation.SCALAR_SD, 150)
-    y = simulation.gen_response(w, 0.4, curves, simulation.true_beta_t(grid), comps,
+    y = simulation.gen_response(w.matrix, 0.4, curves, simulation.true_beta_t(grid), comps,
                                 simulation.TRUE_COMP_COEF, x, simulation.TRUE_SCALAR_COEF, 1.0,
                                 rng)
     base = fit(y, curves, comps, x, weights=w)
@@ -561,7 +563,8 @@ def test_fit_loglik_is_full_loglik_at_the_estimates(kind, rho):
     else:
         w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(36, 2)), k=4, cutoff=100.0)
         x = rng.normal(size=(36, 2))
-        y = np.linalg.solve(np.eye(36) - 0.4 * w, 0.5 + x @ [1.0, -0.7] + rng.normal(size=36))
+        y = np.linalg.solve(np.eye(36) - 0.4 * w.matrix,
+                            0.5 + x @ [1.0, -0.7] + rng.normal(size=36))
     res = fit(y, scalars=x, weights=w, rho=rho)
     expected = full_loglik(res.rho_hat, res.delta_hat, res.sigma2_hat, make_design(y, x, w))
     np.testing.assert_allclose(res.loglik, expected, rtol=1e-10, atol=0)
@@ -634,8 +637,8 @@ def count_spectra(monkeypatch):
 
 
 def test_fits_sharing_spatial_weights_match_fits_on_the_array(monkeypatch):
-    w = rook_lattice(6, 7)
-    shared = SpatialWeights(w)
+    shared = rook_lattice(6, 7)
+    w = shared.matrix
     calls = count_spectra(monkeypatch)
     sums = []
     sums_of = spatial._sums_of
@@ -646,7 +649,8 @@ def test_fits_sharing_spatial_weights_match_fits_on_the_array(monkeypatch):
         calls.clear()
         sums.clear()
         res = fit(y, scalars=x, weights=shared, std_errors=True)
-        for name in ("rho_hat", "delta_hat", "sigma2_hat", "std_errors", "loglik", "fitted"):
+        for name in ("rho_hat", "delta_hat", "sigma2_hat", "std_errors", "p_values", "loglik",
+                     "fitted", "residuals", "r_squared", "mse_fitted"):
             np.testing.assert_array_equal(getattr(res, name), getattr(plain, name), err_msg=name)
         assert res.residual_moran == plain.residual_moran
         # the first shared fit decomposes W; the second reuses its eigenvalues
@@ -662,7 +666,7 @@ def test_pinned_rho_fit_computes_no_spectrum(kind, monkeypatch):
     else:
         w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(30, 2)), k=4, cutoff=100.0)
     x = rng.normal(size=(30, 2))
-    y = np.linalg.solve(np.eye(30) - 0.4 * w, x @ [1.0, -0.7] + 0.5 * rng.normal(size=30))
+    y = np.linalg.solve(np.eye(30) - 0.4 * w.matrix, x @ [1.0, -0.7] + 0.5 * rng.normal(size=30))
     calls = count_spectra(monkeypatch)
     for rho in (0.4, 0.399, 0.401):
         fit(y, scalars=x, weights=w, rho=rho)
@@ -752,7 +756,7 @@ def test_wald_calibration_and_size():
     for _ in range(n_reps):
         x = rng.normal(size=(n, 2))  # second column has true coefficient 0
         signal = 0.5 + 1.0 * x[:, 0]
-        y = np.linalg.solve(np.eye(n) - 0.4 * w, signal + 0.5 * rng.normal(size=n))
+        y = np.linalg.solve(np.eye(n) - 0.4 * w.matrix, signal + 0.5 * rng.normal(size=n))
         res = fit(y, scalars=x, weights=w, std_errors=True)
         rho_hats.append(res.rho_hat)
         wald_sds.append(res.std_errors[0])
@@ -804,11 +808,11 @@ def test_wald_closed_form_matches_central_differences(kind, rho):
     rng = np.random.default_rng(41)
     n = 36
     if kind == "rook":
-        w = rook_lattice(6, 6)
+        w = rook_lattice(6, 6).matrix
     elif kind == "knn":  # asymmetric weights: tr(G^2) must not assume G symmetric
-        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(n, 2)), k=4, cutoff=100.0)
+        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(n, 2)), k=4, cutoff=100.0).matrix
     else:  # symmetric support, but W is not similar to a symmetric matrix
-        adjacent = rook_lattice(6, 6) > 0
+        adjacent = rook_lattice(6, 6).matrix > 0
         w = spatial.row_normalize(adjacent * rng.uniform(0.5, 1.5, adjacent.shape))
     x = rng.normal(size=(n, 2))
     y = np.linalg.solve(np.eye(n) - 0.4 * w, 0.5 + x @ [1.0, -0.7] + 0.5 * rng.normal(size=n))
@@ -910,7 +914,7 @@ def test_the_rank_decision_is_matrix_rank_on_the_column_scaled_prefixes(seed, n,
                      if np.linalg.matrix_rank(unit[:, :span.stop]) < span.stop), None)
     assert (expected is None) == (planted is None or planted >= k)
     try:
-        MixedDesign(y=rng.normal(size=n), Z=z, weights=SpatialWeights(rook_lattice(1, n)),
+        MixedDesign(y=rng.normal(size=n), Z=z, weights=rook_lattice(1, n),
                     column_labels=tuple(f"z_{j}" for j in range(k)), blocks=blocks)
         found = None
     except ValueError as exc:
@@ -960,13 +964,20 @@ def test_a_scalar_in_other_units_scales_only_its_coefficient(column):
         np.testing.assert_allclose(res.delta_hat, expected, rtol=1e-10, atol=0, err_msg=k)
 
 
-@pytest.mark.parametrize("k", [-153, -100, -54, -10, -3, 3, 10, 52, 100, 152])
+@pytest.mark.parametrize("k", [-153, -100, -54, -10, -3, 3, 10, 52, 100, 152, 153, 154])
 def test_a_response_in_other_units_scales_the_estimates(k):
     y, curves, x, w = units_case()
     base = fit(y, curves, scalars=x, weights=w, std_errors=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = fit(y * 10.0**k, curves, scalars=x, weights=w, std_errors=True)
+        plain = fit(y * 10.0**k, curves, scalars=x, weights=w)
+    for name in ("rho_hat", "delta_hat", "sigma2_hat", "loglik", "fitted", "residual_moran"):
+        np.testing.assert_array_equal(getattr(plain, name), getattr(res, name), err_msg=name)
+    assert res.loglik == pytest.approx(base.loglik - y.size * k * math.log(10.0), rel=1e-12)
+    assert res.r_squared == pytest.approx(base.r_squared, rel=1e-12)
+    assert res.residual_moran.statistic == pytest.approx(base.residual_moran.statistic,
+                                                         rel=1e-10)
     assert res.rho_hat == pytest.approx(base.rho_hat, rel=1e-12, abs=0)
     np.testing.assert_allclose(res.delta_hat, base.delta_hat * 10.0**k, rtol=1e-10, atol=0)
     assert res.sigma2_hat == pytest.approx(base.sigma2_hat * 10.0 ** (2 * k), rel=1e-10, abs=0)
@@ -1003,8 +1014,8 @@ def test_the_profile_is_free_of_the_units_of_the_response(k, with_curves):
 def eigenvector_scalars(w, count):
     """``count`` eigenvectors of a rook lattice's W = D^-1 A, none constant:
     W maps their span, with the intercept's, into itself."""
-    root = np.sqrt((w > 0).sum(axis=1))
-    vectors = np.linalg.eigh(w * root[:, None] / root[None, :])[1] / root[:, None]
+    root = np.sqrt((w.matrix > 0).sum(axis=1))
+    vectors = np.linalg.eigh(w.matrix * root[:, None] / root[None, :])[1] / root[:, None]
     return vectors[:, -1 - count:-1]
 
 

@@ -120,7 +120,7 @@ class _ZeroNormalRng:
 
 def test_gen_response_zero_rho_zero_noise_is_signal():
     n = 12
-    w = rook_lattice(3, 4)
+    w = rook_lattice(3, 4).matrix
     grid = np.linspace(0, 1, 60)
     curves = gen_functional(n, 1.1, grid, np.random.default_rng(3))
     comps = gen_composition(n, COMP_MEAN, COMP_ILR_COV, np.random.default_rng(4))
@@ -137,7 +137,7 @@ def test_gen_response_zero_rho_zero_noise_is_signal():
 
 
 def test_gen_response_four_unit_direct_solve():
-    w = rook_lattice(2, 2)
+    w = rook_lattice(2, 2).matrix
     scalars = np.array([1.0, 2.0, -1.0, 0.5])
     y = gen_response(w, 0.6, None, None, None, None, scalars, 2.0, 0.0, _ZeroNormalRng())
     oracle = np.linalg.inv(np.eye(4) - 0.6 * w) @ (2.0 * scalars)
@@ -146,7 +146,7 @@ def test_gen_response_four_unit_direct_solve():
 
 def test_gen_response_spatial_multiplier_inflates_variance():
     n = 100
-    w = rook_lattice(10, 10)
+    w = rook_lattice(10, 10).matrix
     scalars = np.zeros(n)
     y0 = gen_response(w, 0.0, None, None, None, None, scalars, 0.0, 1.0, np.random.default_rng(5))
     y8 = gen_response(w, 0.8, None, None, None, None, scalars, 0.0, 1.0, np.random.default_rng(5))
@@ -169,8 +169,8 @@ def test_gen_response_names_non_finite_weights():
 def test_gen_response_rejects_a_curve_count_other_than_n():
     curves = gen_functional(3, 1.1, np.linspace(0, 1, 5), np.random.default_rng(6))
     with pytest.raises(ValueError, match="curve count does not match the weight matrix"):
-        gen_response(rook_lattice(2, 2), 0.3, curves, np.zeros(5), None, None, None, None, 1.0,
-                     _ZeroNormalRng())
+        gen_response(rook_lattice(2, 2).matrix, 0.3, curves, np.zeros(5), None, None, None, None,
+                     1.0, _ZeroNormalRng())
 
 
 @pytest.mark.parametrize("block", ["composition", "scalar"])
@@ -181,15 +181,21 @@ def test_gen_response_names_a_block_without_one_entry_per_unit(block):
     with pytest.raises(ValueError, match=re.escape(
             f"{block} count does not match the weight matrix: {block} term has shape (8,), "
             "expected (9,)")):
-        gen_response(rook_lattice(3, 3), 0.3, None, None, *args, 0.5, np.random.default_rng(0))
+        gen_response(rook_lattice(3, 3).matrix, 0.3, None, None, *args, 0.5,
+                     np.random.default_rng(0))
 
 
 # -- Monte Carlo driver --------------------------------------------------------------------
 
 def test_monte_carlo_decomposes_w_once_per_setting(monkeypatch):
-    """W is built once per setting, and every replication's fit shares its eigenvalues."""
-    spectra, shared = [], []
+    """W is built once per setting, and every replication's fit shares its
+    eigenvalues and the very object ``rook_lattice`` returned."""
+    spectra, shared, built = [], [], []
     decompose = spatial._spectrum
+
+    def recorded_lattice(*size):
+        built.append(rook_lattice(*size))
+        return built[-1]
 
     def counted(w, *route):
         spectra.append(w)
@@ -201,10 +207,11 @@ def test_monte_carlo_decomposes_w_once_per_setting(monkeypatch):
 
     monkeypatch.setattr(spatial, "_spectrum", counted)
     monkeypatch.setattr(simulation, "fit", recorded_fit)
+    monkeypatch.setattr(simulation, "rook_lattice", recorded_lattice)
     run_monte_carlo(SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1, n_reps=3,
                               seed=11))
     assert len(spectra) == 1
-    assert len(shared) == 3 and all(w is shared[0] for w in shared)
+    assert len(shared) == 3 and all(w is built[0] for w in shared)
     assert shared[0].matrix is spectra[0]
 
 
@@ -215,7 +222,7 @@ def test_a_replication_runs_two_half_size_solves_and_one_dense_log_det(monkeypat
     not decomposed again. FPCA's eigh is on the curves' grid, and the profile
     takes one (k, k) triangular solve with the R of Z's one QR."""
     config = SimConfig(n_rows=10, n_cols=15, rho_true=0.4, alpha_decay=1.1, n_reps=1, seed=5)
-    weights = spatial.SpatialWeights(rook_lattice(10, 15))
+    weights = rook_lattice(10, 15)
     weights.eigenvalues
     grid = np.linspace(0.0, 1.0, config.grid_size)
     truth = (grid, cosine_basis(grid), true_beta_t(grid), grid, true_beta_t(grid))

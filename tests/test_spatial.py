@@ -46,13 +46,13 @@ def test_rook_1x2_exchange():
 
 
 def test_rook_2x2_two_neighbours_each():
-    w = rook_lattice(2, 2)
+    w = rook_lattice(2, 2).matrix
     assert np.all((w > 0).sum(axis=1) == 2)
     np.testing.assert_allclose(w[w > 0], 0.5)
 
 
 def test_rook_10x15_interior_cells():
-    w = rook_lattice(10, 15)
+    w = rook_lattice(10, 15).matrix
     assert w.shape == (150, 150)
     validate_weights(w, allow_isolated=False)
     interior = [r * 15 + c for r in range(1, 9) for c in range(1, 14)]
@@ -63,7 +63,7 @@ def test_rook_10x15_interior_cells():
 
 def test_rook_symmetric_prenormalization_neighbour_rule():
     n_rows, n_cols = 4, 5
-    w = rook_lattice(n_rows, n_cols)
+    w = rook_lattice(n_rows, n_cols).matrix
     for i, j in itertools.product(range(20), range(20)):
         ri, ci = divmod(i, n_cols)
         rj, cj = divmod(j, n_cols)
@@ -136,7 +136,7 @@ def test_knn_collinear_tie_breaks_low_index():
 
 def test_knn_cutoff_severs_clusters():
     pts = np.vstack([RNG.normal(0, 0.5, (5, 2)), RNG.normal(100, 0.5, (5, 2))])
-    w = knn_inverse_distance(pts, k=9, cutoff=10.0)
+    w = knn_inverse_distance(pts, k=9, cutoff=10.0).matrix
     assert np.all(w[:5, 5:] == 0)
     assert np.all(w[5:, :5] == 0)
     validate_weights(w, allow_isolated=False)
@@ -144,7 +144,7 @@ def test_knn_cutoff_severs_clusters():
 
 def test_knn_sweep_gives_nine_candidates():
     pts = RNG.normal(size=(30, 2)) * 5
-    mats = [knn_inverse_distance(pts, k=k, cutoff=50.0) for k in range(2, 11)]
+    mats = [knn_inverse_distance(pts, k=k, cutoff=50.0).matrix for k in range(2, 11)]
     assert len(mats) == 9
     for k, w in zip(range(2, 11), mats):
         assert np.all((w > 0).sum(axis=1) <= k)
@@ -263,7 +263,7 @@ def test_knn_on_a_grid_of_ties_matches_a_stable_sort(k):
 
 def test_knn_weights_inverse_distance_before_normalization():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-    w = knn_inverse_distance(pts, k=2, cutoff=10.0)
+    w = knn_inverse_distance(pts, k=2, cutoff=10.0).matrix
     # unit 0: neighbours at distance 1 and 3 -> weights 1 and 1/3, normalized
     np.testing.assert_allclose(w[0], [0.0, 0.75, 0.25])
 
@@ -405,7 +405,7 @@ def test_log_det_rejects_non_finite_weights(bad):
 def test_spectral_log_det_rejects_a_non_finite_result(monkeypatch):
     monkeypatch.setattr(spatial, "_spectrum", lambda w, route: np.array([1.0, np.nan, -1.0]))
     with pytest.raises(NumericalError, match=r"not finite at rho=0\.5"):
-        log_det_system(0.5, SpatialWeights(rook_lattice(1, 3)))
+        log_det_system(0.5, rook_lattice(1, 3))
 
 
 def test_solve_system_rejects_non_finite_solution():
@@ -444,7 +444,7 @@ def test_solve_system_matches_dense_inverse():
         np.testing.assert_allclose(solve_system(rho, w, rhs[:, 0]), expected[:, 0], atol=1e-12)
 
 
-@pytest.mark.parametrize("w, bitwise", [(rook_lattice(4, 5), False),
+@pytest.mark.parametrize("w, bitwise", [(rook_lattice(4, 5).matrix, False),
                                          (random_weights(12, np.random.default_rng(5)), True)],
                          ids=["rook", "asymmetric"])
 def test_solves_take_spatial_weights_and_match_the_array_bitwise(w, bitwise):
@@ -503,7 +503,7 @@ def test_non_square_weights_are_a_shape_error(call):
 
 
 def test_solve_system_names_a_right_hand_side_without_n_rows():
-    w = rook_lattice(3, 3)
+    w = rook_lattice(3, 3).matrix
     for rhs in (np.ones(8), np.ones((10, 2)), 1.0):
         with pytest.raises(ValueError, match=re.escape(
                 f"right-hand side has shape {np.shape(rhs)} but W has (9, 9)")):
@@ -544,12 +544,12 @@ def count_spectra(monkeypatch):
 def test_spectral_log_det_matches_dense_on_the_rho_grid(kind, routes, monkeypatch):
     rng = np.random.default_rng(8)
     if kind == "rook":
-        w = rook_lattice(12, 15)
+        w = rook_lattice(12, 15).matrix
     elif kind == "knn":  # asymmetric great-circle neighbours
         locations = np.column_stack([rng.uniform(-20, 20, 150), rng.uniform(30, 60, 150)])
-        w = knn_inverse_distance(locations, k=5, cutoff=180.0, metric="greatcircle")
+        w = knn_inverse_distance(locations, k=5, cutoff=180.0, metric="greatcircle").matrix
     else:  # random weights on a lattice's edges: W is not similar to a symmetric matrix
-        adjacent = rook_lattice(6, 8) > 0
+        adjacent = rook_lattice(6, 8).matrix > 0
         w = row_normalize(adjacent * rng.uniform(0.5, 1.5, adjacent.shape))
     used = []
 
@@ -573,7 +573,7 @@ def test_spectral_log_det_matches_dense_on_the_rho_grid(kind, routes, monkeypatc
 
 def test_spatial_weights_computes_its_spectrum_once(monkeypatch):
     calls = count_spectra(monkeypatch)
-    sw = SpatialWeights(rook_lattice(3, 4))
+    sw = rook_lattice(3, 4)
     assert calls == []
     first = sw.eigenvalues
     for rho in (0.1, -0.4, 0.1, 0.7):
@@ -587,7 +587,7 @@ def test_spatial_weights_computes_its_spectrum_once(monkeypatch):
 
 
 def test_spatial_weights_matrix_is_a_read_only_view():
-    w = rook_lattice(3, 3)
+    w = rook_lattice(3, 3).matrix
     sw = SpatialWeights(w)
     assert np.shares_memory(sw.matrix, w)
     np.testing.assert_array_equal(sw.matrix, w)
@@ -596,7 +596,7 @@ def test_spatial_weights_matrix_is_a_read_only_view():
 
 
 def test_spatial_weights_copy_keeps_matrix_read_only_and_carries_its_spectrum(monkeypatch):
-    sw = SpatialWeights(rook_lattice(3, 3))
+    sw = rook_lattice(3, 3)
     undecomposed = pickle.loads(pickle.dumps(sw))
     sw.eigenvalues
     copy = pickle.loads(pickle.dumps(sw))
@@ -614,7 +614,7 @@ def test_spatial_weights_copy_keeps_matrix_read_only_and_carries_its_spectrum(mo
 
 def test_a_copy_pickled_before_the_first_decomposition_carries_the_spectrum(monkeypatch):
     calls = count_spectra(monkeypatch)
-    sw = SpatialWeights(rook_lattice(3, 4))
+    sw = rook_lattice(3, 4)
     assert calls == []
     copy = pickle.loads(pickle.dumps(sw))
     assert len(calls) == 1
@@ -634,7 +634,7 @@ def test_spectrum_forms_no_system_matrix_and_runs_no_slogdet(monkeypatch):
     used = []
     monkeypatch.setattr(spatial, "_system_matrix", lambda rho, w: used.append("_system_matrix"))
     monkeypatch.setattr(np.linalg, "slogdet", lambda a: used.append("slogdet"))
-    for w in (rook_lattice(3, 4), queen_lattice(3, 4), asymmetric_on_lattice(3, 4)):
+    for w in (rook_lattice(3, 4).matrix, queen_lattice(3, 4), asymmetric_on_lattice(3, 4)):
         spectrum(w)
     assert used == []
 
@@ -651,14 +651,14 @@ def queen_lattice(n_rows, n_cols):
 
 def symmetric_on_lattice(n_rows, n_cols, seed=8):
     """D^-1 A for a random symmetric A on a rook lattice's edges: reversible, bipartite."""
-    upper = np.triu((rook_lattice(n_rows, n_cols) > 0)
+    upper = np.triu((rook_lattice(n_rows, n_cols).matrix > 0)
                     * np.random.default_rng(seed).uniform(0.5, 1.5, (n_rows * n_cols,) * 2))
     return row_normalize(upper + upper.T)
 
 
 def asymmetric_on_lattice(n_rows, n_cols, seed=8):
     """Random weights on a rook lattice's edges, each direction drawn apart: not reversible."""
-    adjacent = rook_lattice(n_rows, n_cols) > 0
+    adjacent = rook_lattice(n_rows, n_cols).matrix > 0
     return row_normalize(adjacent * np.random.default_rng(seed).uniform(0.5, 1.5, adjacent.shape))
 
 
@@ -682,20 +682,21 @@ def log_linalg(monkeypatch, names=("eigvals", "eigvalsh")):
 
 def one_way(n_rows, n_cols):
     """A rook lattice less one direction of one edge: its support is not symmetric."""
-    adjacent = rook_lattice(n_rows, n_cols) > 0
+    adjacent = rook_lattice(n_rows, n_cols).matrix > 0
     adjacent[n_cols + 1, n_cols + 2] = False
     return row_normalize(adjacent.astype(float))
 
 
 @pytest.mark.parametrize("w, route", [
-    (rook_lattice(1, 2), ("eigvalsh", (1, 1))),
-    (rook_lattice(3, 3), ("eigvalsh", (4, 4))),  # colour classes of 5 and 4 units
-    (rook_lattice(10, 15), ("eigvalsh", (75, 75))),
+    (rook_lattice(1, 2).matrix, ("eigvalsh", (1, 1))),
+    (rook_lattice(3, 3).matrix, ("eigvalsh", (4, 4))),  # colour classes of 5 and 4 units
+    (rook_lattice(10, 15).matrix, ("eigvalsh", (75, 75))),
     (symmetric_on_lattice(6, 8), ("eigvalsh", (24, 24))),
     (queen_lattice(5, 6), ("eigvalsh", (30, 30))),
     (asymmetric_on_lattice(6, 8), ("eigvals", (48, 48))),
     (one_way(3, 4), ("eigvals", (12, 12))),
-    (scipy.linalg.block_diag(rook_lattice(3, 3), symmetric_on_lattice(2, 4)), ("eigvalsh", (8, 8))),
+    (scipy.linalg.block_diag(rook_lattice(3, 3).matrix, symmetric_on_lattice(2, 4)),
+     ("eigvalsh", (8, 8))),
 ], ids=["rook1x2", "rook3x3", "rook10x15", "symmetric_a", "queen", "asymmetric", "one_way",
         "disconnected"])
 def test_spectrum_route_log_det_and_traces_match_dense(w, route, monkeypatch):
@@ -758,7 +759,7 @@ def test_a_dense_w_keeps_16_bytes_per_edge():
 def test_the_bipartite_split_keeps_g_and_no_copy_of_b():
     """The route of a 30 x 30 rook lattice keeps G, 8 n1^2 bytes, and at most
     16 bytes per unit beside it: the smaller colour class and sqrt(pi) on it."""
-    sw = SpatialWeights(rook_lattice(30, 30))
+    sw = rook_lattice(30, 30)
     tracemalloc.start()
     try:
         split = sw._route
@@ -769,8 +770,35 @@ def test_the_bipartite_split_keeps_g_and_no_copy_of_b():
     assert kept <= 8 * 450**2 + 16 * 900
 
 
+@pytest.mark.parametrize("build, reference", [
+    (lambda: rook_lattice(6, 7), lambda: reference_rook(6, 7)),
+    (lambda: knn_inverse_distance(np.random.default_rng(4).uniform(0.0, 10.0, (30, 2)), k=4,
+                                  cutoff=100.0),
+     lambda: reference_knn(np.random.default_rng(4).uniform(0.0, 10.0, (30, 2)), 4, 100.0,
+                           "euclidean")),
+], ids=["rook", "knn"])
+def test_constructors_return_spatial_weights_that_read_as_their_matrix(build, reference):
+    """The constructors return a SpatialWeights. numpy reads it as its matrix:
+    np.asarray gives the read-only matrix itself, bitwise the array the
+    per-unit construction gives, and np.array a writable copy."""
+    w = build()
+    assert isinstance(w, SpatialWeights)
+    n = len(w)
+    assert w.shape == (n, n)
+    view = np.asarray(w)
+    assert view is w.matrix and not view.flags.writeable
+    expected = reference()
+    assert view.dtype == expected.dtype and view.tobytes() == expected.tobytes()
+    copy = np.array(w)
+    assert copy.flags.writeable and not np.shares_memory(copy, view)
+    assert copy.tobytes() == expected.tobytes()
+    copy[0, 1] = 0.5  # the object is untouched
+    assert view.tobytes() == expected.tobytes()
+
+
 def test_len_is_the_unit_count():
-    w = knn_inverse_distance(np.random.default_rng(2).uniform(0, 10, (7, 2)), k=2, cutoff=100.0)
+    w = knn_inverse_distance(np.random.default_rng(2).uniform(0, 10, (7, 2)), k=2,
+                             cutoff=100.0).matrix
     assert len(SpatialWeights(w)) == len(w) == 7
 
 
@@ -778,9 +806,9 @@ def test_len_is_the_unit_count():
 def test_traces_match_dense_g_and_the_eigenvalue_sums(kind):
     rng = np.random.default_rng(12)
     if kind == "rook":
-        w = rook_lattice(5, 6)
+        w = rook_lattice(5, 6).matrix
     else:  # asymmetric, with a complex spectrum
-        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(30, 2)), k=4, cutoff=100.0)
+        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(30, 2)), k=4, cutoff=100.0).matrix
     sw = SpatialWeights(w)
     lam = sw.eigenvalues
     assert np.iscomplexobj(lam) == (kind == "knn")
@@ -828,7 +856,7 @@ def brute_force_moran(values, w):
 
 
 def test_moran_1x2_alternating_pattern():
-    rep = morans_i([1.0, -1.0], rook_lattice(1, 2))
+    rep = morans_i([1.0, -1.0], rook_lattice(1, 2).matrix)
     assert rep.statistic == pytest.approx(-1.0, abs=1e-14)
     assert rep.expectation == pytest.approx(-1.0)
     assert math.isnan(rep.z_score)
@@ -850,7 +878,7 @@ def test_moran_expectation_closed_form():
 
 
 def test_moran_checkerboard_strongly_negative():
-    w = rook_lattice(6, 6)
+    w = rook_lattice(6, 6).matrix
     vals = np.array([(-1.0) ** (r + c) for r in range(6) for c in range(6)])
     rep = morans_i(vals, w)
     assert rep.statistic == pytest.approx(-1.0, abs=1e-12)
@@ -858,7 +886,7 @@ def test_moran_checkerboard_strongly_negative():
 
 
 def test_moran_smooth_surface_positive_and_permutation_shrinks():
-    w = rook_lattice(8, 8)
+    w = rook_lattice(8, 8).matrix
     vals = np.array([r + c for r in range(8) for c in range(8)], dtype=float)
     smooth = morans_i(vals, w)
     assert smooth.statistic > 0.5
@@ -870,9 +898,9 @@ def test_moran_smooth_surface_positive_and_permutation_shrinks():
 def test_moran_on_spatial_weights_equals_moran_on_the_array(kind):
     rng = np.random.default_rng(8)
     if kind == "rook":
-        w = rook_lattice(5, 6)
+        w = rook_lattice(5, 6).matrix
     elif kind == "knn":
-        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(30, 2)), k=4, cutoff=100.0)
+        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(30, 2)), k=4, cutoff=100.0).matrix
     else:
         w = random_weights(30, rng)
     sw = SpatialWeights(w)
@@ -882,10 +910,10 @@ def test_moran_on_spatial_weights_equals_moran_on_the_array(kind):
 
 
 def test_spatial_weights_sums_moran_moments_once(monkeypatch):
+    w = rook_lattice(4, 5).matrix
     calls = []
     sums_of = spatial._sums_of
     monkeypatch.setattr(spatial, "_sums_of", lambda w: calls.append(w) or sums_of(w))
-    w = rook_lattice(4, 5)
     sw = SpatialWeights(w)
     assert len(calls) == 1
     rng = np.random.default_rng(9)
@@ -898,7 +926,7 @@ def test_spatial_weights_sums_moran_moments_once(monkeypatch):
 
 def test_moran_rejects_non_finite_values():
     # NaN used to give a NaN statistic, z-score and p-value without complaint
-    w = rook_lattice(3, 4)
+    w = rook_lattice(3, 4).matrix
     vals = np.arange(12.0)
     vals[[3, 7]] = [np.nan, np.inf]
     with pytest.raises(ValueError, match=r"2 non-finite entries, at units \[3, 7\]$"):
@@ -922,7 +950,8 @@ def test_moran_rejects_constant_values():
                  "unknown metric 'manhattan'; use 'euclidean' or 'greatcircle'", id="metric"),
     pytest.param(lambda: knn_inverse_distance(np.eye(2), 0, 1.0), "k must be at least 1",
                  id="knn-k-zero"),
-    pytest.param(lambda: morans_i(np.arange(3.0), rook_lattice(2, 2)), "3 values but 4x4 weights",
+    pytest.param(lambda: morans_i(np.arange(3.0), rook_lattice(2, 2).matrix),
+                 "3 values but 4x4 weights",
                  id="moran-size"),
     pytest.param(lambda: morans_i([1.0], np.zeros((1, 1))), "need at least 2 units",
                  id="moran-one-unit"),
