@@ -6,7 +6,7 @@ compositional covariates, and scalar covariates. Estimation is concentrated
 maximum likelihood: for fixed rho the coefficient vector and error variance
 have closed forms, leaving a one-dimensional profile objective
 
-    -(n/2) ln(sigma2_hat(rho)) + ln|I - rho W|
+    -(n/2) ln(sigma2(rho)) + ln|I - rho W|
 
 maximized by a grid scan and safeguarded Newton on its score, with ln|I - rho W| from
 W's eigenvalues (Ord 1975). Wald standard errors come from the closed-form
@@ -111,13 +111,9 @@ class MixedDesign:
     def n(self) -> int:
         return self.y.size
 
-    @property
-    def W(self) -> np.ndarray:
-        return self.weights.matrix
-
     @cached_property
     def wy(self) -> np.ndarray:
-        return self.W @ self.y
+        return self.weights.matrix @ self.y
 
     def residuals(self, rho: float, delta: np.ndarray) -> np.ndarray:
         return self.y - rho * self.wy - self.Z @ delta
@@ -168,7 +164,7 @@ class FitResult:
     beta_comp_hat: np.ndarray | None  # inverse-ilr of theta_hat; None if a part underflows
     grid: np.ndarray | None
     n_components: int
-    loglik: float
+    loglik: float                # full log-likelihood at (rho_hat, delta_hat, sigma2_hat)
     fitted: np.ndarray
     residuals: np.ndarray
     r_squared: float
@@ -230,24 +226,10 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
                        blocks=blocks)
 
 
-def _within_unit_interval(rho: float) -> float:
-    if not abs(rho) < 1.0:
-        raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
-    return rho
-
-
-def delta_hat(rho: float, design: MixedDesign) -> np.ndarray:
-    """Closed-form coefficients at fixed rho: least squares of (I - rho W) y on Z."""
-    return design.delta(_within_unit_interval(rho))
-
-
-def sigma2_hat(rho: float, design: MixedDesign) -> float:
-    """Mean squared residual (1/n divisor) at the closed-form coefficients."""
-    return design.sigma2(_within_unit_interval(rho))
-
-
 def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
-    """Gaussian log-likelihood of the spatial-lag system at given parameters.
+    """Gaussian log-likelihood of the spatial-lag system at any (rho, delta,
+    sigma2), with ln|I - rho W| from a dense LU. ``fit`` takes its ``loglik``
+    from the profile instead, to which this is equal at the estimates.
 
     It is that of e / q at sigma2 / q^2, less n ln q, for q a power of two: 1
     while sigma is within 2^+-480, and else the one that brings it there, so
@@ -261,15 +243,10 @@ def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
     ms = sigma2 / q / q
     return float(
         -0.5 * n * np.log(2.0 * np.pi * ms)
-        + log_det_system(rho, design.W)
+        + log_det_system(rho, design.weights.matrix)
         - (e @ e) / (2.0 * ms)
         - n * math.log(q)
     )
-
-
-def concentrated_loglik(rho: float, design: MixedDesign) -> float:
-    """Profile objective: -(n/2) ln(sigma2_hat(rho)) + ln|I - rho W|."""
-    return design.loglik(_within_unit_interval(rho)) - design.n * math.log(design.scale)
 
 
 def optimize_rho(design: MixedDesign) -> float:
@@ -329,7 +306,9 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     scores with truncation level chosen by the cumulative-eigenvalue share
     ``pve``; compositions enter through their ilr coordinates; any covariate
     block may be omitted. ``rho=None`` estimates the spatial lag by profile
-    likelihood, otherwise the given value is held fixed.
+    likelihood, otherwise the given value is held fixed. ``loglik``, the full
+    log-likelihood at the estimates, is the profile there: its ln|I - rho W| is
+    from W's eigenvalues if rho was estimated, and else from one LU.
 
     Parameters
     ----------
@@ -406,10 +385,13 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     delta = design.delta(rho_hat)
     resid = design.residuals(rho_hat, delta)
     unit = resid / s
-    sigma2 = float(unit @ unit) / design.n * s * s
+    ms = float(unit @ unit) / design.n
+    sigma2 = ms * s * s
     if sigma2 <= 0.0:
         raise NumericalError("exact fit: residual variance is zero")
-    loglik = full_loglik(rho_hat, delta, sigma2, design)
+    # the profile at rho_hat, in y's units
+    loglik = (-0.5 * design.n * (math.log(2.0 * math.pi * ms) + 1.0) - design.n * math.log(s)
+              + log_det_system(rho_hat, design.weights if rho is None else design.weights.matrix))
 
     def block(name):
         return delta[design.blocks[name]] if name in design.blocks else np.empty(0)

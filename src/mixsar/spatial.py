@@ -379,12 +379,13 @@ class SpatialWeights:
     read-only matrix and ``np.array(weights)`` a writable copy; arithmetic and
     indexing go through ``matrix``. W is checked and its edges found once per
     object, and its route and eigenvalues at most once, so that every fit,
-    solve and Moran's I that shares the object reuses them. ``eigenvalues``
-    (read-only, real or complex) is computed on first use, ``traces`` comes
-    from it, and a pickled copy carries it. For a bipartite reversible W, such
-    as a rook lattice, eigenvalues near zero are accurate to about sqrt(eps)
-    only, but the log-det and traces, which depend on lambda^2 alone, keep
-    full accuracy (see the module docstring).
+    solve and Moran's I that shares the object reuses them; wrapping the object
+    again is a ``ValueError``. ``eigenvalues`` (read-only, real or complex) is
+    computed on first use, ``traces`` comes from it, and a pickled copy carries
+    it. For a bipartite reversible W, such as a rook lattice, eigenvalues near
+    zero are accurate to about sqrt(eps) only, but the log-det and traces,
+    which depend on lambda^2 alone, keep full accuracy (see the module
+    docstring).
 
     W's edges are found once, with the object, and give the sums over W that
     Moran's I needs. It keeps them as int32 i and j and float w_ij, 16 bytes
@@ -397,6 +398,8 @@ class SpatialWeights:
     """
 
     def __init__(self, w):
+        if isinstance(w, SpatialWeights):
+            raise ValueError("w is already a SpatialWeights; pass it as it is")
         self.matrix = validate_weights(w, allow_isolated=False).view()
         self.matrix.flags.writeable = False
         self._eigenvalues = None

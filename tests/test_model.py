@@ -20,12 +20,9 @@ from mixsar.functional import CurveSample, fpca, pve_truncate, scores, trapezoid
 from mixsar.model import (
     MixedDesign,
     assemble_design,
-    concentrated_loglik,
-    delta_hat,
     fit,
     full_loglik,
     optimize_rho,
-    sigma2_hat,
     wald_std_errors,
 )
 from mixsar.spatial import SpatialWeights, knn_inverse_distance, rook_lattice
@@ -51,6 +48,11 @@ def sar_instance(n_rows=4, n_cols=5, rho=0.4, q=2, noise=0.5, rng=RNG, subtract=
 
 def make_design(y, x, w):
     return assemble_design(y, scalars=x, weights=w)
+
+
+def concentrated(rho, design):
+    """The concentrated log-likelihood of y at rho: the design's profile of y / s, less n ln s."""
+    return design.loglik(rho) - design.n * math.log(design.scale)
 
 
 # -- design assembly -------------------------------------------------------------
@@ -100,14 +102,14 @@ def test_delta_hat_at_zero_rho_is_ols():
     y, x, w, _ = sar_instance()
     d = make_design(y, x, w)
     ols, *_ = np.linalg.lstsq(d.Z, y, rcond=None)
-    np.testing.assert_allclose(delta_hat(0.0, d), ols, atol=1e-12)
+    np.testing.assert_allclose(d.delta(0.0), ols, atol=1e-12)
 
 
 def test_delta_hat_exact_recovery_noise_free():
     y, x, w, delta_true = sar_instance(rho=0.3, noise=0.0)
     d = make_design(y, x, w)
-    np.testing.assert_allclose(delta_hat(0.3, d), delta_true, atol=1e-10)
-    assert sigma2_hat(0.3, d) == pytest.approx(0.0, abs=1e-16 * np.abs(y).max())
+    np.testing.assert_allclose(d.delta(0.3), delta_true, atol=1e-10)
+    assert d.sigma2(0.3) == pytest.approx(0.0, abs=1e-16 * np.abs(y).max())
 
 
 def test_delta_hat_matches_normal_equations():
@@ -117,15 +119,15 @@ def test_delta_hat_matches_normal_equations():
         for rho in (-0.7, 0.0, 0.55):
             target = (np.eye(d.n) - rho * w) @ y
             oracle = np.linalg.inv(d.Z.T @ d.Z) @ d.Z.T @ target
-            np.testing.assert_allclose(delta_hat(rho, d), oracle, atol=1e-8)
+            np.testing.assert_allclose(d.delta(rho), oracle, atol=1e-8)
 
 
 def test_sigma2_hat_matches_direct_residuals():
     y, x, w, _ = sar_instance()
     d = make_design(y, x, w)
     rho = 0.25
-    e = y - rho * (w @ y) - d.Z @ delta_hat(rho, d)
-    assert sigma2_hat(rho, d) == pytest.approx(float(e @ e) / d.n, abs=1e-14)
+    e = y - rho * (w @ y) - d.Z @ d.delta(rho)
+    assert d.sigma2(rho) == pytest.approx(float(e @ e) / d.n, abs=1e-14)
 
 
 # -- likelihoods ----------------------------------------------------------------------
@@ -136,7 +138,7 @@ def test_profile_identity_constant_offset():
     n = d.n
     expected = -0.5 * n * (np.log(2 * np.pi) + 1.0)
     for rho in np.linspace(-0.9, 0.9, 10):
-        gap = full_loglik(rho, delta_hat(rho, d), sigma2_hat(rho, d), d) - concentrated_loglik(rho, d)
+        gap = full_loglik(rho, d.delta(rho), d.sigma2(rho), d) - concentrated(rho, d)
         assert gap == pytest.approx(expected, abs=1e-8)
 
 
@@ -152,7 +154,7 @@ def test_full_loglik_matches_reduced_form_density():
     y, x, w, _ = sar_instance(n_rows=1, n_cols=5, rho=0.3, q=1)
     d = make_design(y, x, w)
     rho, sigma2 = 0.3, 0.8
-    delta = delta_hat(rho, d)
+    delta = d.delta(rho)
     a = np.eye(d.n) - rho * w
     mean = np.linalg.solve(a, d.Z @ delta)
     cov = sigma2 * np.linalg.inv(a.T @ a)
@@ -165,16 +167,16 @@ def test_full_loglik_rejects_non_positive_sigma2(sigma2):
     y, x, w, _ = sar_instance()
     d = make_design(y, x, w)
     with pytest.raises(ValueError, match="sigma2 must be positive"):
-        full_loglik(0.3, delta_hat(0.3, d), sigma2, d)
+        full_loglik(0.3, d.delta(0.3), sigma2, d)
 
 
 def test_maximized_loglik_dominates_grid():
     y, x, w, _ = sar_instance(rho=0.5)
     d = make_design(y, x, w)
     rho_hat = optimize_rho(d)
-    best = full_loglik(rho_hat, delta_hat(rho_hat, d), sigma2_hat(rho_hat, d), d)
+    best = full_loglik(rho_hat, d.delta(rho_hat), d.sigma2(rho_hat), d)
     for rho in np.linspace(-0.95, 0.95, 20):
-        val = full_loglik(rho, delta_hat(rho, d), sigma2_hat(rho, d), d)
+        val = full_loglik(rho, d.delta(rho), d.sigma2(rho), d)
         assert best >= val - 1e-9
 
 
@@ -183,7 +185,7 @@ def test_concentrated_loglik_degenerate_exact_fit():
     y = np.zeros(6)  # exact fit at every rho: residual variance is literally 0
     d = assemble_design(y, weights=w)
     with pytest.raises(NumericalError):
-        concentrated_loglik(0.2, d)
+        d.loglik(0.2)
     with pytest.raises(ValueError, match="rho is not identified"):  # Wy = 0 as well
         optimize_rho(d)
 
@@ -197,7 +199,7 @@ def test_optimize_rho_agrees_with_grid_oracle():
         d = make_design(y, x, w)
         rho_hat = optimize_rho(d)
         grid = np.arange(-0.999, 0.9991, 0.001)
-        vals = [concentrated_loglik(r, d) for r in grid]
+        vals = [concentrated(r, d) for r in grid]
         assert abs(rho_hat - grid[int(np.argmax(vals))]) < 0.002
 
 
@@ -211,7 +213,7 @@ def test_optimize_rho_zero_truth_unbiased_ballpark():
 def dense_profile(rho, design):
     """The full log-likelihood at rho with delta and sigma2 profiled out; its
     log-determinant is the dense one."""
-    return full_loglik(rho, delta_hat(rho, design), sigma2_hat(rho, design), design)
+    return full_loglik(rho, design.delta(rho), design.sigma2(rho), design)
 
 
 def test_optimize_rho_keeps_an_optimum_at_the_grid_endpoint():
@@ -227,7 +229,7 @@ def test_optimize_rho_keeps_the_grid_point_when_the_root_scores_lower(monkeypatc
     y, x, w, _ = sar_instance(n_rows=5, n_cols=6, rho=0.4, rng=np.random.default_rng(2))
     d = make_design(y, x, w)
     grid = np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS)
-    best = grid[int(np.argmax([concentrated_loglik(r, d) for r in grid]))]
+    best = grid[int(np.argmax([concentrated(r, d) for r in grid]))]
     # a score that reads negative everywhere drives the bisection to the bracket's left end
     monkeypatch.setattr(SpatialWeights, "traces", lambda weights, rho: (np.inf, np.inf))
     assert optimize_rho(d) == best
@@ -567,7 +569,10 @@ def test_fit_loglik_is_full_loglik_at_the_estimates(kind, rho):
                             0.5 + x @ [1.0, -0.7] + rng.normal(size=36))
     res = fit(y, scalars=x, weights=w, rho=rho)
     expected = full_loglik(res.rho_hat, res.delta_hat, res.sigma2_hat, make_design(y, x, w))
-    np.testing.assert_allclose(res.loglik, expected, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(res.loglik, expected, rtol=1e-13, atol=0)
+    if rho is None:  # the log-det from W's eigenvalues against that from an LU
+        pinned = fit(y, scalars=x, weights=w, rho=res.rho_hat)
+        np.testing.assert_allclose(pinned.loglik, res.loglik, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -586,11 +591,13 @@ def test_wy_and_the_residual_have_one_home_in_the_design(name, monkeypatch):
     rho, delta, s2 = res.rho_hat, res.delta_hat, res.sigma2_hat
     assert np.array_equal(res.residuals, design.residuals(rho, delta))
 
-    y, w, z, n = design.y, design.W, design.Z, design.n
+    y, w, z, n = design.y, design.weights.matrix, design.Z, design.n
     e = y - rho * (w @ y) - z @ delta
     gaussian = (-0.5 * n * np.log(2.0 * np.pi * s2) + np.linalg.slogdet(np.eye(n) - rho * w)[1]
                 - (e @ e) / (2.0 * s2))
-    assert full_loglik(rho, delta, s2, design) == gaussian == res.loglik
+    assert full_loglik(rho, delta, s2, design) == gaussian
+    # fit takes the profile at rho_hat, whose log-det comes from W's eigenvalues
+    np.testing.assert_allclose(res.loglik, gaussian, rtol=1e-13, atol=0)
 
 
 def test_z_is_factored_once_per_design(monkeypatch):
@@ -618,8 +625,7 @@ def test_z_is_factored_once_per_design(monkeypatch):
     factored.clear()
     d = make_design(y, x, w)
     rho_hat = optimize_rho(d)
-    for view in (delta_hat, sigma2_hat, concentrated_loglik):
-        view(rho_hat, d)
+    d.delta(rho_hat), d.sigma2(rho_hat), d.loglik(rho_hat)
     assert len(factored) == 1
 
 
@@ -668,18 +674,22 @@ def test_pinned_rho_fit_computes_no_spectrum(kind, monkeypatch):
     x = rng.normal(size=(30, 2))
     y = np.linalg.solve(np.eye(30) - 0.4 * w.matrix, x @ [1.0, -0.7] + 0.5 * rng.normal(size=30))
     calls = count_spectra(monkeypatch)
+    logdets, slogdet = [], np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: logdets.append(a.shape) or slogdet(a))
     for rho in (0.4, 0.399, 0.401):
         fit(y, scalars=x, weights=w, rho=rho)
     assert calls == []
+    assert logdets == [(30, 30)] * 3  # one LU of I - rho W per fit, for its loglik
     fit(y, scalars=x, weights=w, rho=0.4, std_errors=True)  # tr(G^2) needs the spectrum
     assert len(calls) == 1
+    assert len(logdets) == 4
 
 
 def test_a_rook_fit_runs_three_dense_steps(monkeypatch):
-    """The O(n^3) budget of one fit on a rook lattice: the spectrum from the
-    (n/2, n/2) Gram matrix, full_loglik's log-det, and the fitted values from
-    one solve of the same half size. Beside them, the profile's (k, k)
-    triangular solve with Z's R."""
+    """The dense linear algebra of one fit on a rook lattice: the spectrum from
+    the (n/2, n/2) Gram matrix, which also gives the loglik's log-det, the
+    profile's (k, k) triangular solve with Z's R, and the fitted values from
+    one solve of the same half size as the Gram matrix. No slogdet runs."""
     y, x, w, _ = sar_instance(n_rows=10, n_cols=15, rng=np.random.default_rng(4))
     used = []
 
@@ -694,8 +704,7 @@ def test_a_rook_fit_runs_three_dense_steps(monkeypatch):
     for name in ("slogdet", "solve", "eigvalsh", "eigvals", "eigh", "eig", "inv", "det"):
         monkeypatch.setattr(np.linalg, name, logged(name))
     fit(y, scalars=x, weights=w)
-    assert sorted(used) == [("eigvalsh", (75, 75)), ("slogdet", (150, 150)),
-                            ("solve", (3, 3)), ("solve", (75, 75))]
+    assert sorted(used) == [("eigvalsh", (75, 75)), ("solve", (3, 3)), ("solve", (75, 75))]
 
 
 def test_assemble_design_takes_spatial_weights_as_they_are():
@@ -703,8 +712,8 @@ def test_assemble_design_takes_spatial_weights_as_they_are():
     shared = SpatialWeights(w)
     assert assemble_design(y, scalars=x, weights=shared).weights is shared
     d = assemble_design(y, scalars=x, weights=w)
-    assert isinstance(d.weights, SpatialWeights) and d.W is d.weights.matrix
-    np.testing.assert_array_equal(d.W, w)
+    assert isinstance(d.weights, SpatialWeights)
+    np.testing.assert_array_equal(d.weights.matrix, w)
     with pytest.raises(ValueError, match="weights are 20x20 but response has 19 rows"):
         assemble_design(y[:-1], scalars=x[:-1], weights=shared)
 
@@ -729,8 +738,8 @@ def test_wald_std_errors_take_the_residuals_of_the_fit(monkeypatch):
         return residuals(design, rho, delta)
 
     monkeypatch.setattr(MixedDesign, "residuals", counted)
-    fit(y, scalars=x, weights=w, std_errors=True)
-    assert len(passes) == 2  # the fit's residuals and full_loglik's
+    res = fit(y, scalars=x, weights=w, std_errors=True)
+    assert passes == [res.rho_hat]  # the fit's own residuals, which the Wald step reuses
 
 
 def test_wald_scale_invariance_of_rho_zscore():
@@ -862,9 +871,9 @@ def rank_deficient_design():
                  ValueError, "scalar block contains non-finite values", id="block-non-finite"),
     pytest.param(lambda y, x, w: assemble_design(y, scalars=x, weights=w, scalar_labels=["a"]),
                  ValueError, "scalar labels do not match the block width", id="label-count"),
-    pytest.param(lambda y, x, w: delta_hat(0.3, rank_deficient_design()),
+    pytest.param(lambda y, x, w: rank_deficient_design().delta(0.3),
                  ValueError, "design is rank deficient at block 'scalar'", id="profile-rank"),
-    pytest.param(lambda y, x, w: sigma2_hat(1.0, make_design(y, x, w)),
+    pytest.param(lambda y, x, w: make_design(y, x, w).loglik(1.0),
                  ValueError, "rho must satisfy |rho| < 1, got 1.0", id="profile-rho"),
     pytest.param(lambda y, x, w: fit(y, scalars=x, weights=w, pve=0.0),
                  ValueError, "pve must be in (0, 1]", id="fit-pve"),
@@ -932,7 +941,7 @@ def test_a_design_checks_its_response_at_construction():
     with pytest.raises(ValueError, match=re.escape("response contains non-finite values")):
         design(np.where(np.arange(y.size) == 3, np.nan, y), w)
     with pytest.raises(ValueError, match=re.escape("weights are 20x20 but response has 12 rows")):
-        design(y, rook_lattice(4, 5))
+        design(y, rook_lattice(4, 5).matrix)
 
 
 def test_rho_bound_has_one_definition():
@@ -1007,8 +1016,8 @@ def test_the_profile_is_free_of_the_units_of_the_response(k, with_curves):
         scaled = units_design(y * 10.0**k, curves, x, w)
         assert optimize_rho(scaled) == pytest.approx(optimize_rho(base), rel=1e-12, abs=0)
         shift = -y.size * k * math.log(10.0)
-        assert concentrated_loglik(0.3, scaled) == pytest.approx(
-            concentrated_loglik(0.3, base) + shift, rel=1e-12, abs=0)
+        assert concentrated(0.3, scaled) == pytest.approx(
+            concentrated(0.3, base) + shift, rel=1e-12, abs=0)
 
 
 def eigenvector_scalars(w, count):

@@ -215,12 +215,13 @@ def test_monte_carlo_decomposes_w_once_per_setting(monkeypatch):
     assert shared[0].matrix is spectra[0]
 
 
-def test_a_replication_runs_two_half_size_solves_and_one_dense_log_det(monkeypatch):
+def test_a_replication_runs_two_half_size_solves(monkeypatch):
     """The O(n^3) budget of one replication on a 10 x 15 lattice whose shared W
     is already decomposed: gen_response and the fitted values each solve the
-    (75, 75) half-size system, full_loglik takes one dense log-det, and W is
-    not decomposed again. FPCA's eigh is on the curves' grid, and the profile
-    takes one (k, k) triangular solve with the R of Z's one QR."""
+    (75, 75) half-size system, and W is not decomposed again; the loglik's
+    log-det comes from its eigenvalues, so no slogdet runs. FPCA's eigh is on
+    the curves' grid, and the profile takes one (k, k) triangular solve with
+    the R of Z's one QR."""
     config = SimConfig(n_rows=10, n_cols=15, rho_true=0.4, alpha_decay=1.1, n_reps=1, seed=5)
     weights = rook_lattice(10, 15)
     weights.eigenvalues
@@ -243,8 +244,8 @@ def test_a_replication_runs_two_half_size_solves_and_one_dense_log_det(monkeypat
     simulation._replicate(config, weights, truth, 0)
     size = config.grid_size
     (k,) = widths
-    assert sorted(used) == [("eigh", (size, size)), ("slogdet", (150, 150)),
-                            ("solve", (k, k)), ("solve", (75, 75)), ("solve", (75, 75))]
+    assert sorted(used) == [("eigh", (size, size)), ("solve", (k, k)), ("solve", (75, 75)),
+                            ("solve", (75, 75))]
 
 
 def test_a_study_builds_the_cosine_basis_once_per_setting(monkeypatch):

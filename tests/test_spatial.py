@@ -839,6 +839,13 @@ def test_spatial_weights_rejects_what_validate_weights_rejects(bad):
     assert str(got.value) == str(expected.value)
 
 
+def test_spatial_weights_refuses_to_wrap_itself():
+    """A second object over the same W would check it and find its edges
+    again, and start without the first one's route and eigenvalues."""
+    with pytest.raises(ValueError, match="already a SpatialWeights; pass it as it is"):
+        SpatialWeights(rook_lattice(3, 4))
+
+
 # -- Moran's I -------------------------------------------------------------------------
 
 def brute_force_moran(values, w):
