@@ -307,8 +307,8 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     ``pve``; compositions enter through their ilr coordinates; any covariate
     block may be omitted. ``rho=None`` estimates the spatial lag by profile
     likelihood, otherwise the given value is held fixed. ``loglik``, the full
-    log-likelihood at the estimates, is the profile there: its ln|I - rho W| is
-    from W's eigenvalues if rho was estimated, and else from one LU.
+    log-likelihood at the estimates, is the profile there: ln|I - rho W| comes
+    from W's eigenvalues once known (rho estimated, or W bipartite), else one LU.
 
     Parameters
     ----------
@@ -389,9 +389,11 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     sigma2 = ms * s * s
     if sigma2 <= 0.0:
         raise NumericalError("exact fit: residual variance is zero")
+    # solved first, as a bipartite W's solve leaves its eigenvalues known
+    fitted = solve_system(rho_hat, w := design.weights, design.Z @ delta)
     # the profile at rho_hat, in y's units
     loglik = (-0.5 * design.n * (math.log(2.0 * math.pi * ms) + 1.0) - design.n * math.log(s)
-              + log_det_system(rho_hat, design.weights if rho is None else design.weights.matrix))
+              + log_det_system(rho_hat, w if w.has_eigenvalues else w.matrix))
 
     def block(name):
         return delta[design.blocks[name]] if name in design.blocks else np.empty(0)
@@ -409,7 +411,6 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
         except ValueError as exc:  # a part of the composition underflows
             warnings.warn(f"beta_comp_hat is None ({exc}); theta_hat holds the estimate")
 
-    fitted = solve_system(rho_hat, design.weights, design.Z @ delta)
     y_unit = design.y / s
     sse = float(np.sum((y_unit - fitted / s) ** 2))
     sst = float(np.sum((y_unit - y_unit.mean()) ** 2))

@@ -16,12 +16,12 @@ compositional coefficient (4/9, 2/9, 1/3), and true scalar slope 1.
 W and the curves' cosine basis are built once per setting. W is the one
 :class:`~mixsar.spatial.SpatialWeights` that ``rook_lattice`` returns, which
 the replications' responses and fits share: it is checked once, when built,
-and decomposed once, by the first fit or the first copy sent to a worker;
-every copy carries its eigenvalues. Each replication derives an independent
-generator from ``(seed, rep)``, so results are bit-identical for any worker
-count and aggregation happens in replication order. Reported spreads are
-population (ddof=0) standard deviations, which makes a single-replication
-report show zeros.
+and decomposed once, by the first solve or the first copy sent to a worker;
+every copy carries its eigenvalues and route. Each replication derives an
+independent generator from ``(seed, rep)``, so results are bit-identical for
+any worker count and aggregation happens in replication order. Reported
+spreads are population (ddof=0) standard deviations, which makes a
+single-replication report show zeros.
 """
 
 from __future__ import annotations

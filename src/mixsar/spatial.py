@@ -31,10 +31,10 @@ lambda^2 alone: ln|I - rho W| = sum ln(1 - rho^2 lambda^2) over the pairs,
 and the traces likewise. Any other W is decomposed by the general ``eigvals``.
 
 The same split solves the system. A :class:`SpatialWeights` with a reversible
-bipartite W keeps the smaller colour class, sqrt(pi) on it, and G, and
-``solve_system`` turns (I - rho W) x = c into one (n1, n1) solve with
-I - rho^2 G, whose eigenvalues lie in [1 - rho^2, 1], and two products with W.
-An array, and any other W, is solved by a pivoted LU of I - rho W.
+bipartite W keeps the smaller colour class, sqrt(pi) on it, and one ``eigh``
+of G = Q diag(mu) Q', which gives its eigenvalues and each ``solve_system``:
+x_a = Pi_a^-1/2 Q ((Q' r) / (1 - rho^2 mu)), by two products with Q and two
+with W. An array, and any other W, is solved by a pivoted LU of I - rho W.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .errors import NumericalError
 
 RHO_BOUND = 0.999
 _REVERSIBLE_RTOL = 1e-12  # tau: how far pi_i w_ij and pi_j w_ji may differ, relatively
+_EDGE_BLOCK = 1 << 16  # edges per block of the w_ji that _sums_of gathers, so none is nnz long
 
 
 @dataclass(frozen=True)
@@ -227,24 +228,22 @@ def solve_system(rho: float, w, rhs) -> np.ndarray:
     """Solve (I - rho W) x = rhs, for W an array or a :class:`SpatialWeights`.
 
     A :class:`SpatialWeights` whose W is reversible and bipartite is solved
-    through its half-size Gram matrix (:meth:`_Bipartite.solve`); every other
-    W by a pivoted LU of I - rho W. Raises ``ValueError`` naming an rhs without
-    n rows or the non-finite entries of W, and :class:`NumericalError` if the
-    system is singular or the solution is not finite.
+    through its half-size Gram matrix's eigh (:meth:`_Bipartite.solve`); every
+    other W by a pivoted LU of I - rho W. Raises ``ValueError`` naming an rhs
+    without n rows or the non-finite entries of W, and :class:`NumericalError`
+    if the system is singular or the solution is not finite.
     """
     split = w._route if isinstance(w, SpatialWeights) else None
     if isinstance(split, _Bipartite):
         _check_rho(rho)
-        shape = w.matrix.shape
     else:
         a = _system_matrix(rho, w)
-        shape = a.shape
         if not np.isfinite(a).all():
             bad = np.argwhere(~np.isfinite(a))
             raise ValueError(f"weight matrix has {len(bad)} non-finite entries, at (row, col) "
                              f"{bad[:10].tolist()}{' ...' if len(bad) > 10 else ''}")
-    if np.shape(rhs)[:1] != shape[:1]:
-        raise ValueError(f"right-hand side has shape {np.shape(rhs)} but W has {shape}")
+    if np.shape(rhs)[:1] != np.shape(w)[:1]:
+        raise ValueError(f"right-hand side has shape {np.shape(rhs)} but W has {np.shape(w)}")
     try:
         if isinstance(split, _Bipartite):
             x = split.solve(rho, w.matrix, np.asarray(rhs, dtype=float))
@@ -257,58 +256,61 @@ def solve_system(rho: float, w, rhs) -> np.ndarray:
     return x
 
 
-def _edges(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """W's edges, the (i, j) with w_ij > 0 in row-major order as int32, and
-    w_ij and w_ji on each: ``(i, j, w_ij, w_ji)``."""
-    i, j = (k.astype(np.int32) for k in np.divmod(np.flatnonzero(w > 0), w.shape[0]))
-    return i, j, w[i, j], w[j, i]
+def _edges(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W's edges ``(i, j, w_ij)``: the (i, j) with w_ij > 0 in row-major order,
+    as int32, and w_ij, read through one boolean mask with no nnz-long temporary."""
+    mask, unit = w > 0, np.arange(w.shape[0], dtype=np.int32)
+    rows, cols = np.broadcast_arrays(unit[:, None], unit)
+    return rows[mask], cols[mask], w[mask]
 
 
 @dataclass(frozen=True, eq=False)
 class _Bipartite:
-    """A reversible bipartite W, split by colour class.
-
-    With pi from :func:`_search`, S = Pi^1/2 W Pi^-1/2 is [[0, B], [B', 0]] in
-    the order (a, b) of the colour classes. It keeps ``a``, the smaller, of n1
-    units, ``root`` = sqrt(pi) on a, and ``gram``, G = B B', (n1, n1).
+    """A reversible bipartite W, split by colour class: with pi from
+    :func:`_search`, S = Pi^1/2 W Pi^-1/2 is [[0, B], [B', 0]] in the order
+    (a, b) of the classes. It keeps ``a``, the smaller, of n1 units, ``root`` =
+    sqrt(pi) on a, and ``mu``, ascending, and ``q`` of G = B B' = Q diag(mu) Q'.
     """
 
     a: np.ndarray
     root: np.ndarray
-    gram: np.ndarray
+    mu: np.ndarray
+    q: np.ndarray
 
     def solve(self, rho: float, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """(I - rho W) x = rhs, for this split's W, by one (n1, n1) solve. As
-        W_aa = W_bb = 0 and W_ab W_ba = Pi_a^-1/2 G Pi_a^1/2, x_a =
-        Pi_a^-1/2 (I - rho^2 G)^-1 Pi_a^1/2 (rhs_a + rho (W rhs)_a), whose
-        matrix has its eigenvalues in [1 - rho^2, 1], and x_b = rhs_b +
-        rho (W x)_b, with x taken as 0 on b. W multiplies rhs in its own shape."""
-        root = np.expand_dims(self.root, tuple(range(1, rhs.ndim)))
-        m = -(rho * rho) * self.gram
-        m.flat[::m.shape[0] + 1] += 1.0
+        """(I - rho W) x = rhs, for this split's W, in O(n1^2 + n^2). As
+        W_aa = W_bb = 0 and W_ab W_ba = Pi_a^-1/2 G Pi_a^1/2, x_a = Pi_a^-1/2 Q
+        ((Q' r) / (1 - rho^2 mu)) for r = Pi_a^1/2 (rhs_a + rho (W rhs)_a),
+        taken as Pi_a^-1/2 (r + Q ((rho^2 mu / (1 - rho^2 mu)) Q' r)), whose
+        rounding vanishes at rho = 0, and x_b = rhs_b + rho (W x)_b, with x taken
+        as 0 on b. W multiplies rhs in its own shape."""
+        trailing = tuple(range(1, rhs.ndim))
+        root = np.expand_dims(self.root, trailing)
+        gain = np.expand_dims((rho * rho) * self.mu, trailing)
+        r = root * (rhs[self.a] + rho * (w @ rhs)[self.a])
         x = np.zeros_like(rhs)
-        x[self.a] = np.linalg.solve(m, root * (rhs[self.a] + rho * (w @ rhs)[self.a])) / root
+        x[self.a] = (r + self.q @ (gain / (1.0 - gain) * (self.q.T @ r))) / root
         out = rhs + rho * (w @ x)
         out[self.a] = x[self.a]
         return out
 
 
-def _route_of(n: int, edges) -> str | _Bipartite:
-    """How W, of n units and with the :func:`_edges` given, is decomposed and
-    solved.
+def _route_of(w: np.ndarray, edges) -> str | _Bipartite:
+    """How W, with the :func:`_edges` given, is decomposed and solved.
 
     W is reversible if its support is symmetric and pi_i w_ij and pi_j w_ji,
     with pi from :func:`_search`, agree on every edge to a relative tau =
     ``_REVERSIBLE_RTOL``. Returns "eigvals" for a W that is not, "eigvalsh"
-    for a reversible W with an edge inside a colour class, and the
-    :class:`_Bipartite` split of any other W. Its G is formed from B,
-    scattered from the edges into a dense temporary: b_pq = sqrt(w_ij w_ji)
-    for unit i, the p-th of class a, and j, the q-th of class b.
+    for a reversible W with an edge inside a colour class, and else the
+    :class:`_Bipartite` split, by one ``eigh`` of G = B B', B scattered from
+    the edges into a dense temporary: b_pq = sqrt(w_ij w_ji) for unit i, the
+    p-th of class a, and j, the q-th of class b.
     """
-    i, j, w_ij, w_ji = edges
+    (i, j, w_ij), n = edges, len(w)
+    w_ji = w[j, i]
     if not np.all(w_ji > 0):
         return "eigvals"
-    colour, pi = _search(n, edges)
+    colour, pi = _search(n, (i, j, w_ij, w_ji))
     flow = pi[i] * w_ij  # a flow that underflows to 0 would pass vacuously
     if not np.all((np.abs(flow - pi[j] * w_ji) <= _REVERSIBLE_RTOL * flow) & (flow > 0)):
         return "eigvals"
@@ -321,33 +323,27 @@ def _route_of(n: int, edges) -> str | _Bipartite:
     out = in_a[i]
     dense = np.zeros((a.size, b.size))
     dense[rank[i[out]], rank[j[out]]] = np.sqrt(w_ij[out] * w_ji[out])
-    return _Bipartite(a, np.sqrt(pi[a]), dense @ dense.T)
+    return _Bipartite(a, np.sqrt(pi[a]), *np.linalg.eigh(dense @ dense.T))
 
 
 def _spectrum(w: np.ndarray, route: str | _Bipartite) -> np.ndarray:
     """W's eigenvalues, from the cheapest matrix that W's ``route``
-    (:func:`_route_of`) allows.
-
-    Every eigenvalue of a reversible W lies within (tau / 2)(1 + O(tau)) of
-    one of S = sqrt(W o W'), by Bauer-Fike, as S is normal. For a bipartite W
-    they are +-sqrt(mu) and zeros, with mu the eigenvalues of the Gram matrix
-    G. Near-zero ones are then accurate to about sqrt(eps), but as the
-    spectrum pairs lambda with -lambda, every sum over it depends on lambda^2
-    alone. Other reversible W take ``eigvalsh(S)``, and every other W
-    ``eigvals(W)``. No I - rho W is formed.
-    """
+    (:func:`_route_of`) allows, as the module docstring sets out: +-sqrt(mu)
+    and zeros from the mu that a bipartite route holds, ``eigvalsh(S)`` for
+    any other reversible W, and ``eigvals(W)`` for the rest. No I - rho W is
+    formed."""
     if route == "eigvals":
         return np.linalg.eigvals(w)
     if route == "eigvalsh":
         return np.linalg.eigvalsh(np.sqrt(w * w.T))
-    sigma = np.sqrt(np.clip(np.linalg.eigvalsh(route.gram), 0.0, None))
+    sigma = np.sqrt(np.clip(route.mu, 0.0, None))
     return np.concatenate([-sigma[::-1], np.zeros(w.shape[0] - 2 * sigma.size), sigma])
 
 
 def _search(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first search of the graph of W's :func:`_edges`, from each of
-    the n units that no earlier search reached. Returns each unit's colour,
-    which is the parity of its depth, and pi: 1 at each root, and
+    """Breadth-first search of the graph of W's edges (i, j, w_ij, w_ji), from
+    each of the n units that no earlier search reached. Returns each unit's
+    colour, which is the parity of its depth, and pi: 1 at each root, and
     pi_u w_uv / w_vu at a unit v first reached from u."""
     i, j, w_ij, w_ji = edges
     start = np.searchsorted(i, np.arange(n + 1)).tolist()
@@ -380,21 +376,17 @@ class SpatialWeights:
     indexing go through ``matrix``. W is checked and its edges found once per
     object, and its route and eigenvalues at most once, so that every fit,
     solve and Moran's I that shares the object reuses them; wrapping the object
-    again is a ``ValueError``. ``eigenvalues`` (read-only, real or complex) is
-    computed on first use, ``traces`` comes from it, and a pickled copy carries
-    it. For a bipartite reversible W, such as a rook lattice, eigenvalues near
-    zero are accurate to about sqrt(eps) only, but the log-det and traces,
-    which depend on lambda^2 alone, keep full accuracy (see the module
-    docstring).
+    again is a ``ValueError``. ``eigenvalues`` (read-only, real or complex;
+    see the module docstring on their accuracy) is computed on first use, or
+    read from the route that a solve found for a bipartite W, as
+    ``has_eigenvalues`` tells; ``traces`` comes from it.
 
-    W's edges are found once, with the object, and give the sums over W that
-    Moran's I needs. It keeps them as int32 i and j and float w_ij, 16 bytes
-    per edge; W's route (:func:`_route_of`) is found from them and w_ji, read
-    from the matrix again, on the first solve or decomposition. For a
-    reversible bipartite W it keeps G, 8 n1^2 bytes, 1.6 MB on a 30 x 30 rook
-    lattice, and the smaller colour class with sqrt(pi) on it, 16 n1 bytes:
-    with the matrix, they serve the decomposition and every :func:`solve_system`.
-    A pickled copy does not carry the route; it finds it on first use.
+    The edges, kept as int32 i and j and float w_ij, 16 bytes per edge, give
+    the sums over W that Moran's I needs and, with w_ji read from the matrix
+    again, W's route (:func:`_route_of`). That of a reversible bipartite W keeps
+    G's eigenvectors Q, the 8 n1^2 bytes that G took (1.6 MB on a 30 x 30 rook
+    lattice), and mu, the smaller colour class and sqrt(pi) on it, 24 n1 bytes.
+    A pickled copy carries the route and the eigenvalues: it decomposes nothing.
     """
 
     def __init__(self, w):
@@ -403,9 +395,8 @@ class SpatialWeights:
         self.matrix = validate_weights(w, allow_isolated=False).view()
         self.matrix.flags.writeable = False
         self._eigenvalues = None
-        edges = _edges(self.matrix)
-        self._moran_sums = _sums_of(edges)
-        self._edges = edges[:3]  # (i, j, w_ij); the route gathers w_ji again
+        self._edges = _edges(self.matrix)
+        self._moran_sums = _sums_of(self.matrix, self._edges)
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -419,8 +410,12 @@ class SpatialWeights:
 
     @cached_property
     def _route(self) -> str | _Bipartite:
-        i, j, w_ij = self._edges
-        return _route_of(len(self), (i, j, w_ij, self.matrix[j, i]))
+        return _route_of(self.matrix, self._edges)
+
+    @property
+    def has_eigenvalues(self) -> bool:
+        """Whether ``eigenvalues`` is known with no further decomposition."""
+        return self._eigenvalues is not None or isinstance(self.__dict__.get("_route"), _Bipartite)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -434,22 +429,26 @@ class SpatialWeights:
         return float(g.sum().real), float((g * g).sum().real)
 
     def __reduce__(self):
-        return type(self), (self.matrix,), {"_eigenvalues": self.eigenvalues}
+        return type(self), (self.matrix,), {"_eigenvalues": self.eigenvalues, "_route": self._route}
 
     def __setstate__(self, state):  # also marks freshly computed eigenvalues read-only
-        self._eigenvalues = state["_eigenvalues"]
+        self.__dict__.update(state)
         self._eigenvalues.flags.writeable = False
 
 
-def _sums_of(edges) -> tuple[float, float, float]:
-    """S0, S1 and S2 of Moran's I moments, which depend on W alone, from its
-    :func:`_edges`: S1 = 0.5 sum (w_ij + w_ji)^2 = sum over the edges of
-    w_ij (w_ij + w_ji), and S2 = sum_i (w_i. + w_.i)^2."""
-    i, j, w_ij, w_ji = edges
-    s0 = float(w_ij.sum())
-    s1 = float((w_ij * (w_ij + w_ji)).sum())
-    s2 = float((np.bincount(np.concatenate([i, j]), np.concatenate([w_ij, w_ij])) ** 2).sum())
-    return s0, s1, s2
+def _sums_of(w: np.ndarray, edges) -> tuple[float, float, float]:
+    """S0, S1 and S2 of Moran's I moments, which depend on W alone, from W and
+    its :func:`_edges`: S1 = 0.5 sum (w_ij + w_ji)^2 = sum over the edges of
+    w_ij (w_ij + w_ji), formed ``_EDGE_BLOCK`` edges at a time, and S2 =
+    sum_i (w_i. + w_.i)^2, its margins adding each w_ij at i, then at j."""
+    i, j, w_ij = edges
+    margins = np.bincount(i, w_ij, minlength=int(j.max(initial=-1)) + 1)
+    np.add.at(margins, j, w_ij)
+    terms = np.empty_like(w_ij)
+    for start in range(0, w_ij.size, _EDGE_BLOCK):
+        e = slice(start, start + _EDGE_BLOCK)
+        terms[e] = w_ij[e] * (w_ij[e] + w[j[e], i[e]])
+    return float(w_ij.sum()), float(terms.sum()), float((margins**2).sum())
 
 
 def morans_i(values, w) -> MoranReport:
@@ -471,7 +470,7 @@ def morans_i(values, w) -> MoranReport:
     else:
         w = validate_weights(w)
         edges = _edges(w)
-        s0, s1, s2 = _sums_of(edges)
+        s0, s1, s2 = _sums_of(w, edges)
     n = x.size
     if w.shape[0] != n:
         raise ValueError(f"{n} values but {w.shape[0]}x{w.shape[0]} weights")
@@ -483,7 +482,7 @@ def morans_i(values, w) -> MoranReport:
         raise ValueError("values are constant; Moran's I is undefined")
     if s0 == 0.0:
         raise ValueError("weight matrix is all zero")
-    i, j, w_ij = edges[:3]
+    i, j, w_ij = edges
     stat = n / s0 * float((w_ij * z[i] * z[j]).sum()) / denom
 
     expectation = -1.0 / (n - 1)

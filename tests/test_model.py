@@ -648,7 +648,7 @@ def test_fits_sharing_spatial_weights_match_fits_on_the_array(monkeypatch):
     calls = count_spectra(monkeypatch)
     sums = []
     sums_of = spatial._sums_of
-    monkeypatch.setattr(spatial, "_sums_of", lambda w: sums.append(w) or sums_of(w))
+    monkeypatch.setattr(spatial, "_sums_of", lambda *args: sums.append(args) or sums_of(*args))
     for seed in (21, 22):
         y, x, _, _ = sar_instance(n_rows=6, n_cols=7, rng=np.random.default_rng(seed))
         plain = fit(y, scalars=x, weights=w, std_errors=True)
@@ -676,20 +676,30 @@ def test_pinned_rho_fit_computes_no_spectrum(kind, monkeypatch):
     calls = count_spectra(monkeypatch)
     logdets, slogdet = [], np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet", lambda a: logdets.append(a.shape) or slogdet(a))
+    eighs, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
     for rho in (0.4, 0.399, 0.401):
         fit(y, scalars=x, weights=w, rho=rho)
-    assert calls == []
-    assert logdets == [(30, 30)] * 3  # one LU of I - rho W per fit, for its loglik
+    if kind == "knn":
+        assert calls == []
+        assert logdets == [(30, 30)] * 3  # one LU of I - rho W per fit, for its loglik
+    else:
+        # the first fit's solve runs the one eigh of the (15, 15) Gram matrix, whose
+        # mu give every fit's log-det: no slogdet and no eigvals of W
+        assert eighs == [(15, 15)]
+        assert logdets == []
     fit(y, scalars=x, weights=w, rho=0.4, std_errors=True)  # tr(G^2) needs the spectrum
     assert len(calls) == 1
-    assert len(logdets) == 4
+    assert len(logdets) == (4 if kind == "knn" else 0)
+    assert eighs == ([] if kind == "knn" else [(15, 15)])
 
 
 def test_a_rook_fit_runs_three_dense_steps(monkeypatch):
-    """The dense linear algebra of one fit on a rook lattice: the spectrum from
-    the (n/2, n/2) Gram matrix, which also gives the loglik's log-det, the
-    profile's (k, k) triangular solve with Z's R, and the fitted values from
-    one solve of the same half size as the Gram matrix. No slogdet runs."""
+    """The dense linear algebra of one fit on a rook lattice: one eigh of the
+    (n/2, n/2) Gram matrix, which gives the spectrum, hence the loglik's
+    log-det, the profile's (k, k) triangular solve with Z's R, and the fitted
+    values from products with the Gram matrix's eigenvectors. No slogdet runs,
+    and no half-size system is factored."""
     y, x, w, _ = sar_instance(n_rows=10, n_cols=15, rng=np.random.default_rng(4))
     used = []
 
@@ -704,7 +714,7 @@ def test_a_rook_fit_runs_three_dense_steps(monkeypatch):
     for name in ("slogdet", "solve", "eigvalsh", "eigvals", "eigh", "eig", "inv", "det"):
         monkeypatch.setattr(np.linalg, name, logged(name))
     fit(y, scalars=x, weights=w)
-    assert sorted(used) == [("eigvalsh", (75, 75)), ("solve", (3, 3)), ("solve", (75, 75))]
+    assert sorted(used) == [("eigh", (75, 75)), ("solve", (3, 3))]
 
 
 def test_assemble_design_takes_spatial_weights_as_they_are():

@@ -218,10 +218,11 @@ def test_monte_carlo_decomposes_w_once_per_setting(monkeypatch):
 def test_a_replication_runs_two_half_size_solves(monkeypatch):
     """The O(n^3) budget of one replication on a 10 x 15 lattice whose shared W
     is already decomposed: gen_response and the fitted values each solve the
-    (75, 75) half-size system, and W is not decomposed again; the loglik's
+    (75, 75) half-size system with the eigenvectors that W's route holds, so
+    neither factors a matrix, and W is not decomposed again; the loglik's
     log-det comes from its eigenvalues, so no slogdet runs. FPCA's eigh is on
     the curves' grid, and the profile takes one (k, k) triangular solve with
-    the R of Z's one QR."""
+    the R of Z's one QR, the only np.linalg.solve."""
     config = SimConfig(n_rows=10, n_cols=15, rho_true=0.4, alpha_decay=1.1, n_reps=1, seed=5)
     weights = rook_lattice(10, 15)
     weights.eigenvalues
@@ -244,8 +245,7 @@ def test_a_replication_runs_two_half_size_solves(monkeypatch):
     simulation._replicate(config, weights, truth, 0)
     size = config.grid_size
     (k,) = widths
-    assert sorted(used) == [("eigh", (size, size)), ("solve", (k, k)), ("solve", (75, 75)),
-                            ("solve", (75, 75))]
+    assert sorted(used) == [("eigh", (size, size)), ("solve", (k, k))]
 
 
 def test_a_study_builds_the_cosine_basis_once_per_setting(monkeypatch):
@@ -296,19 +296,28 @@ def test_run_monte_carlo_rejects_bad_workers(workers):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers see the patched _spectrum only when forked")
 def test_monte_carlo_decomposes_w_once_in_the_parent(monkeypatch, tmp_path):
-    """The workers' copies of W carry its eigenvalues, so no worker decomposes it."""
+    """The workers' copies of W carry its eigenvalues and its route, whose eigh
+    of the (10, 10) Gram matrix serves every solve, so no worker decomposes W."""
     log = tmp_path / "spectra.txt"
-    decompose = spatial._spectrum
+    decompose, eigh = spatial._spectrum, np.linalg.eigh
 
     def logged(w, *route):
         with open(log, "a") as f:
-            f.write(f"{os.getpid()}\n")
+            f.write(f"spectrum:{os.getpid()}\n")
         return decompose(w, *route)
 
+    def logged_eigh(a):
+        if np.shape(a) == (10, 10):  # FPCA's eigh is on the curves' grid
+            with open(log, "a") as f:
+                f.write(f"eigh:{os.getpid()}\n")
+        return eigh(a)
+
     monkeypatch.setattr(spatial, "_spectrum", logged)
-    run_monte_carlo(SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1, n_reps=8,
-                              seed=11), workers=2)
-    assert log.read_text().split() == [str(os.getpid())]
+    monkeypatch.setattr(np.linalg, "eigh", logged_eigh)
+    config = SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1, n_reps=8, seed=11)
+    assert config.grid_size != 10
+    run_monte_carlo(config, workers=2)
+    assert sorted(log.read_text().split()) == [f"eigh:{os.getpid()}", f"spectrum:{os.getpid()}"]
 
 
 def test_component_biases_sum_to_zero():

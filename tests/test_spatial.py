@@ -537,7 +537,7 @@ def count_spectra(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, routes", [
-    ("rook", ["eigvalsh"]),
+    ("rook", ["eigh"]),
     ("knn", ["eigvals"]),
     ("symmetric_support", ["eigvals"]),
 ], ids=["rook", "knn", "symmetric_support"])
@@ -561,7 +561,7 @@ def test_spectral_log_det_matches_dense_on_the_rho_grid(kind, routes, monkeypatc
             return decompose(a)
         return call
 
-    for name in ("eigvals", "eigvalsh"):
+    for name in ("eigvals", "eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, logged(name))
     sw = SpatialWeights(w)
     grid = np.linspace(-0.999, 0.999, 201)
@@ -627,7 +627,7 @@ def test_a_copy_pickled_before_the_first_decomposition_carries_the_spectrum(monk
 
 def spectrum(w):
     """W's eigenvalues by the route that a SpatialWeights of W finds."""
-    return spatial._spectrum(w, spatial._route_of(len(w), spatial._edges(w)))
+    return spatial._spectrum(w, spatial._route_of(w, spatial._edges(w)))
 
 
 def test_spectrum_forms_no_system_matrix_and_runs_no_slogdet(monkeypatch):
@@ -662,7 +662,7 @@ def asymmetric_on_lattice(n_rows, n_cols, seed=8):
     return row_normalize(adjacent * np.random.default_rng(seed).uniform(0.5, 1.5, adjacent.shape))
 
 
-def log_linalg(monkeypatch, names=("eigvals", "eigvalsh")):
+def log_linalg(monkeypatch, names=("eigvals", "eigvalsh", "eigh")):
     """Record (name, shape of the first argument) for each call of the named
     np.linalg functions."""
     used = []
@@ -688,23 +688,26 @@ def one_way(n_rows, n_cols):
 
 
 @pytest.mark.parametrize("w, route", [
-    (rook_lattice(1, 2).matrix, ("eigvalsh", (1, 1))),
-    (rook_lattice(3, 3).matrix, ("eigvalsh", (4, 4))),  # colour classes of 5 and 4 units
-    (rook_lattice(10, 15).matrix, ("eigvalsh", (75, 75))),
-    (symmetric_on_lattice(6, 8), ("eigvalsh", (24, 24))),
+    (rook_lattice(1, 2).matrix, ("eigh", (1, 1))),
+    (rook_lattice(3, 3).matrix, ("eigh", (4, 4))),  # colour classes of 5 and 4 units
+    (rook_lattice(10, 15).matrix, ("eigh", (75, 75))),
+    (rook_lattice(30, 30).matrix, ("eigh", (450, 450))),
+    (symmetric_on_lattice(6, 8), ("eigh", (24, 24))),
     (queen_lattice(5, 6), ("eigvalsh", (30, 30))),
     (asymmetric_on_lattice(6, 8), ("eigvals", (48, 48))),
     (one_way(3, 4), ("eigvals", (12, 12))),
     (scipy.linalg.block_diag(rook_lattice(3, 3).matrix, symmetric_on_lattice(2, 4)),
-     ("eigvalsh", (8, 8))),
-], ids=["rook1x2", "rook3x3", "rook10x15", "symmetric_a", "queen", "asymmetric", "one_way",
-        "disconnected"])
+     ("eigh", (8, 8))),
+], ids=["rook1x2", "rook3x3", "rook10x15", "rook30x30", "symmetric_a", "queen", "asymmetric",
+        "one_way", "disconnected"])
 def test_spectrum_route_log_det_and_traces_match_dense(w, route, monkeypatch):
-    """Each route's spectrum gives the dense log-det and traces. Its solve takes
-    one np.linalg.solve on the matrix the route decomposes: the (n1, n1) Gram
-    matrix for a bipartite reversible W, else the LU of I - rho W."""
+    """Each route's spectrum gives the dense log-det and traces. A bipartite
+    reversible W runs one eigh of its (n1, n1) Gram matrix, which serves the
+    spectrum and every solve, with no np.linalg.solve; any other W solves by
+    one np.linalg.solve, the LU of I - rho W."""
     n = len(w)
-    used = log_linalg(monkeypatch, names=("eigvals", "eigvalsh", "solve"))
+    bipartite = route[0] == "eigh"
+    used = log_linalg(monkeypatch, names=("eigvals", "eigvalsh", "eigh", "solve"))
     sw = SpatialWeights(w)
     assert sw.eigenvalues.size == n
     assert used == [route]
@@ -720,8 +723,12 @@ def test_spectrum_route_log_det_and_traces_match_dense(w, route, monkeypatch):
             expected = np.linalg.solve(np.eye(n) - rho * w, c)
             used.clear()
             x = solve_system(rho, sw, c)
-            assert used == [("solve", route[1])]
-            np.testing.assert_allclose(x, expected, rtol=1e-12)
+            assert used == ([] if bipartite else [("solve", (n, n))])
+            # at n = 900 and rho = 0.999 the dense LU is itself off by up to 1.3e-11
+            # in its smallest entries (against three refinement steps in extended
+            # precision), so there each entry may also differ by 1e-12 of the largest
+            atol = 1e-12 * np.abs(expected).max() if n == 900 else 0.0
+            np.testing.assert_allclose(x, expected, rtol=1e-12, atol=atol)
             assert np.abs(x - rho * (w @ x) - c).max() <= 1e-12 * max(1.0, np.abs(c).max())
     with pytest.raises(ValueError, match=re.escape("rho must satisfy |rho| < 1, got 1.0")):
         solve_system(1.0, sw, rhs)
@@ -736,7 +743,7 @@ def test_spectrum_sends_a_weight_off_reversibility_by_1e_9_to_eigvals(monkeypatc
     spectrum(a)
     a[5, 6] *= 1.0 + 1e-9  # one direction of one edge: pi_5 w_56 and pi_6 w_65 now differ
     lam = spectrum(a)
-    assert [name for name, _ in used] == ["eigvalsh", "eigvals"]
+    assert [name for name, _ in used] == ["eigh", "eigvals"]
     for rho in (-0.999, 0.4, 0.999):
         assert math.isclose(np.log1p(-rho * lam).sum().real,
                             np.linalg.slogdet(np.eye(len(a)) - rho * a)[1], abs_tol=1e-10)
@@ -756,9 +763,76 @@ def test_a_dense_w_keeps_16_bytes_per_edge():
     assert kept <= 16 * 999_000 + 2**16
 
 
+def test_building_a_dense_w_peaks_at_twice_what_it_keeps():
+    """Finding the edges and the Moran sums of a dense W makes nothing nnz-long
+    beside the kept edges but the S1 terms: no int64 index array, no w_ji."""
+    w = row_normalize(np.ones((1000, 1000)) - np.eye(1000))
+    tracemalloc.start()
+    try:
+        SpatialWeights(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * 999_000
+
+
+def dense_edges_and_sums(w):
+    """W's edges and Moran sums by dense formulas: int64 flat indices cast to
+    int32, whole w_ij and w_ji gathers, and one bincount over i and j."""
+    i, j = (k.astype(np.int32) for k in np.divmod(np.flatnonzero(w > 0), w.shape[0]))
+    w_ij, w_ji = w[i, j], w[j, i]
+    margins = np.bincount(np.concatenate([i, j]), np.concatenate([w_ij, w_ij]))
+    return (i, j, w_ij), (float(w_ij.sum()), float((w_ij * (w_ij + w_ji)).sum()),
+                          float((margins**2).sum()))
+
+
+@pytest.mark.parametrize("w", [
+    row_normalize(np.ones((300, 300)) - np.eye(300)),
+    rook_lattice(30, 30).matrix,
+    knn_inverse_distance(np.random.default_rng(5).uniform(0.0, 10.0, (200, 2)), k=6,
+                         cutoff=100.0).matrix,
+    asymmetric_on_lattice(7, 9),
+    scipy.linalg.block_diag(rook_lattice(3, 4).matrix, np.zeros((2, 2))),  # isolated units last
+], ids=["dense", "rook", "knn", "asymmetric", "isolated"])
+def test_edges_and_moran_sums_are_bitwise_the_dense_formulas(w):
+    edges = spatial._edges(w)
+    expected_edges, expected_sums = dense_edges_and_sums(w)
+    for got, expected in zip(edges, expected_edges, strict=True):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert spatial._sums_of(w, edges) == expected_sums
+
+
+def test_a_pickled_copy_carries_the_route_and_decomposes_nothing(monkeypatch):
+    sw = rook_lattice(6, 7)
+    copy = pickle.loads(pickle.dumps(sw))
+    used = log_linalg(monkeypatch, names=("eigvals", "eigvalsh", "eigh", "solve"))
+    assert copy.has_eigenvalues
+    c = np.random.default_rng(6).normal(size=42)
+    np.testing.assert_array_equal(solve_system(0.4, copy, c), solve_system(0.4, sw, c))
+    assert log_det_system(0.4, copy) == log_det_system(0.4, sw)
+    assert used == []
+
+
+def test_has_eigenvalues_tells_whether_the_spectrum_is_free(monkeypatch):
+    """A bipartite W holds its eigenvalues once a solve has found its route; any
+    other W once they are computed."""
+    calls = count_spectra(monkeypatch)
+    rook = rook_lattice(4, 5)
+    knn = knn_inverse_distance(np.random.default_rng(7).uniform(0.0, 10.0, (20, 2)), k=4,
+                               cutoff=100.0)
+    for sw in (rook, knn):
+        assert not sw.has_eigenvalues
+        solve_system(0.3, sw, np.ones(20))
+    assert rook.has_eigenvalues and not knn.has_eigenvalues
+    assert calls == []
+    knn.eigenvalues
+    assert knn.has_eigenvalues
+
+
 def test_the_bipartite_split_keeps_g_and_no_copy_of_b():
-    """The route of a 30 x 30 rook lattice keeps G, 8 n1^2 bytes, and at most
-    16 bytes per unit beside it: the smaller colour class and sqrt(pi) on it."""
+    """The route of a 30 x 30 rook lattice keeps G's eigenvectors Q, 8 n1^2
+    bytes as G took, and at most 16 bytes per unit beside them: G's
+    eigenvalues mu, the smaller colour class and sqrt(pi) on it."""
     sw = rook_lattice(30, 30)
     tracemalloc.start()
     try:
@@ -766,7 +840,7 @@ def test_the_bipartite_split_keeps_g_and_no_copy_of_b():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert split.gram.shape == (450, 450)
+    assert split.q.shape == (450, 450) and split.mu.shape == (450,)
     assert kept <= 8 * 450**2 + 16 * 900
 
 
@@ -920,7 +994,7 @@ def test_spatial_weights_sums_moran_moments_once(monkeypatch):
     w = rook_lattice(4, 5).matrix
     calls = []
     sums_of = spatial._sums_of
-    monkeypatch.setattr(spatial, "_sums_of", lambda w: calls.append(w) or sums_of(w))
+    monkeypatch.setattr(spatial, "_sums_of", lambda *args: calls.append(args) or sums_of(*args))
     sw = SpatialWeights(w)
     assert len(calls) == 1
     rng = np.random.default_rng(9)
