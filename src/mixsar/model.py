@@ -48,9 +48,10 @@ from .functional import (
     scores,
     smooth_curves,
 )
-from .spatial import RHO_BOUND, MoranReport, SpatialWeights, log_det_system, morans_i, solve_system
+from .spatial import (RHO_BOUND, RHO_GRID, MoranReport, SpatialWeights, log_det_system,
+                      morans_i, solve_system)
 
-_RHO_GRID_POINTS = 201
+_RHO_GRID_POINTS = RHO_GRID.size
 _EPS = np.finfo(float).eps
 _Y_EXPONENT = 128  # y up to 2^+-128 is taken as is; n of its squares stay well inside floats
 _SIGMA_EXPONENT = 480  # sigma up to 2^+-480 is taken as is by full_loglik
@@ -252,7 +253,9 @@ def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
 def optimize_rho(design: MixedDesign) -> float:
     """Maximize the concentrated log-likelihood over [-RHO_BOUND, RHO_BOUND].
 
-    A 201-point grid locates the basin, guarding against local maxima; then
+    The 201 points of ``RHO_GRID`` locate the basin, guarding against local
+    maxima, each by its own ``loglik`` call, whose log-det is a lookup in the
+    table that W keeps of them (``SpatialWeights``); then
     safeguarded Newton (Press et al., Numerical Recipes, sec. 9.4) on the score
     times sigma2(rho) / s^2 closes the best point's bracket to adjacent floats, unless
     that point scores higher. A step that leaves the bracket halves it instead; one
@@ -271,7 +274,7 @@ def optimize_rho(design: MixedDesign) -> float:
         except NumericalError:
             return -math.inf
 
-    grid = np.linspace(-RHO_BOUND, RHO_BOUND, _RHO_GRID_POINTS)
+    grid = RHO_GRID
     ms = design.mean_square(grid).tolist()
     vals = np.array([objective(r, m) for r, m in zip(grid.tolist(), ms)])
     if not np.any(np.isfinite(vals)):

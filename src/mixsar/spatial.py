@@ -6,7 +6,10 @@ that need a fully connected system). Weights travel either as such arrays or
 as a :class:`SpatialWeights`: one validated, fully connected matrix that
 answers what fits ask of W: its unit count, its eigenvalues, computed once and
 carried by every copy, which make each ln|I - rho W| O(n) (Ord 1975), and the
-traces of (I - rho W)^-1 W and its square. The constructors here,
+traces of (I - rho W)^-1 W and its square. The 201 log-dets at ``RHO_GRID``,
+the points that every profile search scans, depend on W alone: they are taken
+once per object, by one broadcast log1p over the eigenvalues, and each is then
+a lookup (Pace & Barry 1997). The constructors here,
 ``rook_lattice`` and ``knn_inverse_distance``, return a row-normalized
 :class:`SpatialWeights`, so that W is checked when it is built and decomposed
 once for every fit, solve and Moran's I that shares it. This module owns
@@ -49,6 +52,9 @@ import numpy as np
 from .errors import NumericalError
 
 RHO_BOUND = 0.999
+RHO_GRID = np.linspace(-RHO_BOUND, RHO_BOUND, 201)  # the rho that every profile search scans
+RHO_GRID.flags.writeable = False
+_ON_GRID = frozenset(RHO_GRID.tolist())
 _REVERSIBLE_RTOL = 1e-12  # tau: how far pi_i w_ij and pi_j w_ji may differ, relatively
 _EDGE_BLOCK = 1 << 16  # edges per block of the w_ji that _sums_of gathers, so none is nnz long
 
@@ -186,9 +192,10 @@ def knn_inverse_distance(locations, k: int, cutoff: float,
     return SpatialWeights(row_normalize(w))
 
 
-def _check_rho(rho: float) -> None:
+def _check_rho(rho: float) -> float:
     if not abs(rho) < 1.0:
         raise ValueError(f"rho must satisfy |rho| < 1, got {rho}")
+    return float(rho)
 
 
 def _system_matrix(rho: float, w) -> np.ndarray:
@@ -204,15 +211,18 @@ def _system_matrix(rho: float, w) -> np.ndarray:
 
 def log_det_system(rho: float, w) -> float:
     """ln |det(I - rho W)|: Re sum ln(1 - rho lambda) over the eigenvalues of a
-    :class:`SpatialWeights`, O(n) once known, or a pivoted LU of an array.
+    :class:`SpatialWeights`, O(n) once known, or a pivoted LU of an array. At a
+    point of ``RHO_GRID`` the sum is read from the object's table of them,
+    built on the first such call, and is the same float.
 
     Raises :class:`NumericalError` when the determinant is non-positive,
     vanishes or is not finite; for row-stochastic W and |rho| < 1 the system
     is guaranteed nonsingular with positive determinant.
     """
     if isinstance(w, SpatialWeights):
-        _check_rho(rho)
-        sign, logdet = 1.0, float(np.log1p(-rho * w.eigenvalues).sum().real)
+        rho, sign = _check_rho(rho), 1.0
+        logdet = (w._grid_log_dets[rho] if rho in _ON_GRID
+                  else float(np.log1p(-rho * w.eigenvalues).sum().real))
     else:
         sign, logdet = np.linalg.slogdet(_system_matrix(rho, w))
     if sign == 0.0:
@@ -258,10 +268,13 @@ def solve_system(rho: float, w, rhs) -> np.ndarray:
 
 def _edges(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """W's edges ``(i, j, w_ij)``: the (i, j) with w_ij > 0 in row-major order,
-    as int32, and w_ij, read through one boolean mask with no nnz-long temporary."""
-    mask, unit = w > 0, np.arange(w.shape[0], dtype=np.int32)
-    rows, cols = np.broadcast_arrays(unit[:, None], unit)
-    return rows[mask], cols[mask], w[mask]
+    as int32, and w_ij, gathered by the int32 indices from the flat positions k."""
+    n = w.shape[0]
+    k = np.flatnonzero(w > 0)
+    i = (k // n).astype(np.int32)
+    k %= n
+    j = k.astype(np.int32)
+    return i, j, w[i, j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,14 +392,17 @@ class SpatialWeights:
     again is a ``ValueError``. ``eigenvalues`` (read-only, real or complex;
     see the module docstring on their accuracy) is computed on first use, or
     read from the route that a solve found for a bipartite W, as
-    ``has_eigenvalues`` tells; ``traces`` comes from it.
+    ``has_eigenvalues`` tells; ``traces`` comes from it, and so does the table
+    of ln|I - rho W| at the 201 points of ``RHO_GRID``, 201 more floats, built
+    on the first log-det at a grid point.
 
     The edges, kept as int32 i and j and float w_ij, 16 bytes per edge, give
     the sums over W that Moran's I needs and, with w_ji read from the matrix
     again, W's route (:func:`_route_of`). That of a reversible bipartite W keeps
     G's eigenvectors Q, the 8 n1^2 bytes that G took (1.6 MB on a 30 x 30 rook
     lattice), and mu, the smaller colour class and sqrt(pi) on it, 24 n1 bytes.
-    A pickled copy carries the route and the eigenvalues: it decomposes nothing.
+    A pickled copy carries the route and the eigenvalues: it decomposes nothing,
+    and rebuilds the table from them in O(201 n).
     """
 
     def __init__(self, w):
@@ -422,6 +438,14 @@ class SpatialWeights:
         if self._eigenvalues is None:
             self.__setstate__({"_eigenvalues": _spectrum(self.matrix, self._route)})
         return self._eigenvalues
+
+    @cached_property
+    def _grid_log_dets(self) -> dict[float, float]:
+        """ln|I - rho W| at each rho of ``RHO_GRID``, by one broadcast log1p taken
+        in place in a (201, n) temporary: each the sum that log_det_system takes."""
+        table = np.multiply.outer(-RHO_GRID, self.eigenvalues)
+        np.log1p(table, out=table)
+        return dict(zip(RHO_GRID.tolist(), table.sum(axis=1).real.tolist()))
 
     def traces(self, rho: float) -> tuple[float, float]:
         """tr G and tr G^2 for G = (I - rho W)^-1 W, from the eigenvalues."""

@@ -13,6 +13,7 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_golden import GOLDEN
+from test_spatial import count_grid_tables
 
 from mixsar import geometry, model, simulation, spatial
 from mixsar.errors import NumericalError
@@ -228,7 +229,7 @@ def test_optimize_rho_keeps_an_optimum_at_the_grid_endpoint():
 def test_optimize_rho_keeps_the_grid_point_when_the_root_scores_lower(monkeypatch):
     y, x, w, _ = sar_instance(n_rows=5, n_cols=6, rho=0.4, rng=np.random.default_rng(2))
     d = make_design(y, x, w)
-    grid = np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS)
+    grid = model.RHO_GRID
     best = grid[int(np.argmax([concentrated(r, d) for r in grid]))]
     # a score that reads negative everywhere drives the bisection to the bracket's left end
     monkeypatch.setattr(SpatialWeights, "traces", lambda weights, rho: (np.inf, np.inf))
@@ -254,7 +255,7 @@ def bisect_rho(design):
         except NumericalError:
             return -np.inf
 
-    grid = np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS)
+    grid = model.RHO_GRID
     vals = np.array([objective(r) for r in grid])
     best = int(np.argmax(vals))
     lo, hi = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)])
@@ -386,7 +387,7 @@ def test_optimize_rho_gallops_where_rounding_flattens_the_score(seed, monkeypatc
 @pytest.mark.parametrize("name", sorted(RHO_SEARCH_DESIGNS))
 def test_grid_sigma2_equals_the_scalar_sigma2(name):
     design = RHO_SEARCH_DESIGNS[name]()
-    grid = np.linspace(-model.RHO_BOUND, model.RHO_BOUND, model._RHO_GRID_POINTS)
+    grid = model.RHO_GRID
     np.testing.assert_allclose(design.sigma2(grid), [design.sigma2(r) for r in grid],
                                rtol=1e-14, atol=0)
 
@@ -692,6 +693,34 @@ def test_pinned_rho_fit_computes_no_spectrum(kind, monkeypatch):
     assert len(calls) == 1
     assert len(logdets) == (4 if kind == "knn" else 0)
     assert eighs == ([] if kind == "knn" else [(15, 15)])
+    assert "_grid_log_dets" not in vars(w)  # no pinned rho is a grid point
+
+
+@pytest.mark.parametrize("kind", ["rook", "knn"])
+def test_fits_sharing_spatial_weights_build_one_grid_table(kind, monkeypatch):
+    """The 201 grid log-dets are one broadcast log1p per W, which every fit
+    that shares it reads; each estimated fit still asks log_det_system for
+    each grid point, then the root and its own log-det at rho_hat."""
+    rng = np.random.default_rng(9)
+    if kind == "rook":
+        w = rook_lattice(5, 6)
+    else:
+        w = knn_inverse_distance(rng.uniform(0.0, 10.0, size=(30, 2)), k=4, cutoff=100.0)
+    tables, log_dets = count_grid_tables(monkeypatch), []
+    log_det_system = model.log_det_system
+    monkeypatch.setattr(model, "log_det_system",
+                        lambda rho, weights: log_dets.append(rho) or log_det_system(rho, weights))
+    for rho in (0.4, -0.2, 0.7):
+        x = rng.normal(size=(30, 2))
+        y = np.linalg.solve(np.eye(30) - rho * w.matrix,
+                            x @ [1.0, -0.7] + 0.5 * rng.normal(size=30))
+        log_dets.clear()
+        fit(y, scalars=x, weights=w)
+        assert len(log_dets) == model._RHO_GRID_POINTS + 2
+        if rho == 0.4:
+            table = w._grid_log_dets
+        assert w._grid_log_dets is table
+    assert tables == [(model._RHO_GRID_POINTS, 30)]
 
 
 def test_a_rook_fit_runs_three_dense_steps(monkeypatch):
@@ -956,6 +985,8 @@ def test_a_design_checks_its_response_at_construction():
 
 def test_rho_bound_has_one_definition():
     assert model.RHO_BOUND is spatial.RHO_BOUND == 0.999
+    assert model.RHO_GRID is spatial.RHO_GRID
+    assert model._RHO_GRID_POINTS == spatial.RHO_GRID.size == 201
 
 
 # -- units and identification ---------------------------------------------------------

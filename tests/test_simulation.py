@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from test_spatial import count_grid_tables
 
 from mixsar import geometry, model, simulation, spatial
 from mixsar.errors import NumericalError
@@ -213,6 +214,15 @@ def test_monte_carlo_decomposes_w_once_per_setting(monkeypatch):
     assert len(spectra) == 1
     assert len(shared) == 3 and all(w is built[0] for w in shared)
     assert shared[0].matrix is spectra[0]
+
+
+def test_monte_carlo_builds_the_grid_table_once_per_setting(monkeypatch):
+    """Every replication's fit reads the 201 grid log-dets from one table on
+    the shared W, built by one broadcast log1p."""
+    tables = count_grid_tables(monkeypatch)
+    run_monte_carlo(SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1, n_reps=4,
+                              seed=11), workers=1)
+    assert tables == [(spatial.RHO_GRID.size, 20)]
 
 
 def test_a_replication_runs_two_half_size_solves(monkeypatch):

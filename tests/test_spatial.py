@@ -408,6 +408,13 @@ def test_spectral_log_det_rejects_a_non_finite_result(monkeypatch):
         log_det_system(0.5, rook_lattice(1, 3))
 
 
+def test_a_log_det_read_from_the_grid_table_is_checked_too(monkeypatch):
+    monkeypatch.setattr(spatial, "_spectrum", lambda w, route: np.array([1.0, np.nan, -1.0]))
+    rho = float(spatial.RHO_GRID[150])
+    with pytest.raises(NumericalError, match=re.escape(f"not finite at rho={rho}")):
+        log_det_system(rho, rook_lattice(1, 3))
+
+
 def test_solve_system_rejects_non_finite_solution():
     # finite system, but x = rhs / 0.5 overflows
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -564,7 +571,7 @@ def test_spectral_log_det_matches_dense_on_the_rho_grid(kind, routes, monkeypatc
     for name in ("eigvals", "eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, logged(name))
     sw = SpatialWeights(w)
-    grid = np.linspace(-0.999, 0.999, 201)
+    grid = spatial.RHO_GRID
     spectral = [log_det_system(rho, sw) for rho in grid]
     assert used == routes
     np.testing.assert_allclose(spectral, [log_det_system(rho, w) for rho in grid],
@@ -711,7 +718,7 @@ def test_spectrum_route_log_det_and_traces_match_dense(w, route, monkeypatch):
     sw = SpatialWeights(w)
     assert sw.eigenvalues.size == n
     assert used == [route]
-    grid = np.linspace(-0.999, 0.999, 201)
+    grid = spatial.RHO_GRID
     np.testing.assert_allclose([log_det_system(rho, sw) for rho in grid],
                                [log_det_system(rho, w) for rho in grid], rtol=0, atol=1e-10)
     for rho in (-0.99, -0.3, 0.5, 0.99):
@@ -764,8 +771,9 @@ def test_a_dense_w_keeps_16_bytes_per_edge():
 
 
 def test_building_a_dense_w_peaks_at_twice_what_it_keeps():
-    """Finding the edges and the Moran sums of a dense W makes nothing nnz-long
-    beside the kept edges but the S1 terms: no int64 index array, no w_ji."""
+    """Finding the edges and the Moran sums of a dense W peaks at about 24 bytes
+    per edge, 8 beside the 16 it keeps: the int64 flat positions while w_ij is
+    gathered, then the S1 terms; no w_ji."""
     w = row_normalize(np.ones((1000, 1000)) - np.eye(1000))
     tracemalloc.start()
     try:
@@ -827,6 +835,79 @@ def test_has_eigenvalues_tells_whether_the_spectrum_is_free(monkeypatch):
     assert calls == []
     knn.eigenvalues
     assert knn.has_eigenvalues
+
+
+def count_grid_tables(monkeypatch):
+    """Record the shape of each 2-d np.log1p from here on: one per table of
+    ln|I - rho W| on the rho grid, as every per-point sum is 1-d."""
+    shapes, log1p = [], np.log1p
+
+    def counted(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            shapes.append(np.shape(x))
+        return log1p(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log1p", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("w, route", [
+    (rook_lattice(10, 15).matrix, "bipartite"),
+    (queen_lattice(5, 6), "eigvalsh"),
+    (knn_inverse_distance(np.random.default_rng(5).uniform(0.0, 10.0, (60, 2)), k=4,
+                          cutoff=100.0).matrix, "eigvals"),
+    (scipy.linalg.block_diag(rook_lattice(3, 3).matrix, symmetric_on_lattice(2, 4)),
+     "bipartite"),
+], ids=["rook", "queen", "knn", "disconnected"])
+def test_log_det_on_the_grid_reads_a_table_equal_to_each_sum(w, route, monkeypatch):
+    """Each grid rho's log-det is read from one table per W, built by one
+    broadcast log1p, and equals the per-point sum bit for bit."""
+    sw = SpatialWeights(w)
+    assert (isinstance(sw._route, spatial._Bipartite) if route == "bipartite"
+            else sw._route == route)
+    assert np.iscomplexobj(sw.eigenvalues) == (route == "eigvals")
+    tables = count_grid_tables(monkeypatch)
+    for rho in spatial.RHO_GRID.tolist():
+        assert log_det_system(rho, sw) == float(np.log1p(-rho * sw.eigenvalues).sum().real)
+    assert tables == [(spatial.RHO_GRID.size, len(w))]
+    assert list(sw._grid_log_dets) == spatial.RHO_GRID.tolist()
+
+
+def test_log_det_off_the_grid_takes_the_direct_sum_and_builds_no_table(monkeypatch):
+    sw = rook_lattice(6, 7)
+    tables = count_grid_tables(monkeypatch)
+    off_grid = [0.4, math.nextafter(float(spatial.RHO_GRID[120]), 1.0),
+                math.nextafter(-spatial.RHO_BOUND, 0.0), np.float64(-0.25), np.array(0.3)]
+    for rho in off_grid:
+        assert float(rho) not in spatial._ON_GRID
+        assert log_det_system(rho, sw) == float(np.log1p(-rho * sw.eigenvalues).sum().real)
+    assert tables == [] and "_grid_log_dets" not in vars(sw)
+    on_grid = float(spatial.RHO_GRID[120])
+    assert log_det_system(np.array(on_grid), sw) == log_det_system(on_grid, sw)
+    assert len(tables) == 1
+    for rho in (1.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match=re.escape(f"rho must satisfy |rho| < 1, got {rho}")):
+            log_det_system(rho, sw)
+
+
+def test_a_pickled_copy_rebuilds_the_table_from_its_eigenvalues(monkeypatch):
+    """The pickled state is W, its eigenvalues and its route, not the table,
+    which the copy rebuilds by one broadcast log1p and no decomposition."""
+    sw = rook_lattice(6, 7)
+    table = sw._grid_log_dets
+    assert set(sw.__reduce__()[2]) == {"_eigenvalues", "_route"}
+    copy = pickle.loads(pickle.dumps(sw))
+    used, tables = log_linalg(monkeypatch), count_grid_tables(monkeypatch)
+    assert "_grid_log_dets" not in vars(copy)
+    assert copy._grid_log_dets == table and copy._grid_log_dets is not table
+    assert used == [] and tables == [(spatial.RHO_GRID.size, 42)]
+
+
+def test_the_rho_grid_is_one_read_only_constant():
+    np.testing.assert_array_equal(
+        spatial.RHO_GRID, np.linspace(-spatial.RHO_BOUND, spatial.RHO_BOUND, 201))
+    assert not spatial.RHO_GRID.flags.writeable
+    assert spatial._ON_GRID == set(spatial.RHO_GRID.tolist())
 
 
 def test_the_bipartite_split_keeps_g_and_no_copy_of_b():
