@@ -188,13 +188,12 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
 
     ``weights`` is a :class:`~mixsar.spatial.SpatialWeights`, whose eigenvalues
     the design then shares, or a row-stochastic ``(n, n)`` array with no
-    isolated units, wrapped in a fresh one. Verifies the blocks' row counts; the
-    design checks y, W's size and its rank.
+    isolated units, checked and wrapped in a fresh one by ``SpatialWeights.of``.
+    Verifies the blocks' row counts; the design checks y, W's size and its rank.
     """
     y = np.asarray(y, dtype=float).ravel()
     n = y.size
-    if not isinstance(weights, SpatialWeights):
-        weights = SpatialWeights(weights)
+    weights = SpatialWeights.of(weights)
 
     parts = [np.ones((n, 1))]
     labels = ["intercept"]
@@ -229,8 +228,8 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
 
 def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
     """Gaussian log-likelihood of the spatial-lag system at any (rho, delta,
-    sigma2), with ln|I - rho W| from a dense LU. ``fit`` takes its ``loglik``
-    from the profile instead, to which this is equal at the estimates.
+    sigma2), with ln|I - rho W| by ``log_det_system``. ``fit`` takes its
+    ``loglik`` from the profile instead, to which this is equal at the estimates.
 
     It is that of e / q at sigma2 / q^2, less n ln q, for q a power of two: 1
     while sigma is within 2^+-480, and else the one that brings it there, so
@@ -244,7 +243,7 @@ def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
     ms = sigma2 / q / q
     return float(
         -0.5 * n * np.log(2.0 * np.pi * ms)
-        + log_det_system(rho, design.weights.matrix)
+        + log_det_system(rho, design.weights)
         - (e @ e) / (2.0 * ms)
         - n * math.log(q)
     )
@@ -310,8 +309,8 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     ``pve``; compositions enter through their ilr coordinates; any covariate
     block may be omitted. ``rho=None`` estimates the spatial lag by profile
     likelihood, otherwise the given value is held fixed. ``loglik``, the full
-    log-likelihood at the estimates, is the profile there: ln|I - rho W| comes
-    from W's eigenvalues once known (rho estimated, or W bipartite), else one LU.
+    log-likelihood at the estimates, is the profile there, its ln|I - rho W| by
+    ``SpatialWeights.log_det``: from the eigenvalues once known, else one LU.
 
     Parameters
     ----------
@@ -393,10 +392,10 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     if sigma2 <= 0.0:
         raise NumericalError("exact fit: residual variance is zero")
     # solved first, as a bipartite W's solve leaves its eigenvalues known
-    fitted = solve_system(rho_hat, w := design.weights, design.Z @ delta)
+    fitted = solve_system(rho_hat, design.weights, design.Z @ delta)
     # the profile at rho_hat, in y's units
     loglik = (-0.5 * design.n * (math.log(2.0 * math.pi * ms) + 1.0) - design.n * math.log(s)
-              + log_det_system(rho_hat, w if w.has_eigenvalues else w.matrix))
+              + log_det_system(rho_hat, design.weights))
 
     def block(name):
         return delta[design.blocks[name]] if name in design.blocks else np.empty(0)

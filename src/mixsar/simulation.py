@@ -159,8 +159,9 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
     coefficient curve, the Aitchison inner product of each composition with
     the compositional coefficient (computed in ilr coordinates), and the
     scalar terms. Absent covariate blocks contribute nothing; the intercept
-    of the generating process is zero. ``weights`` is an array or a
-    :class:`~mixsar.spatial.SpatialWeights`.
+    of the generating process is zero. ``weights`` is a
+    :class:`~mixsar.spatial.SpatialWeights`, or a row-stochastic array without
+    isolated units, which ``solve_system`` checks and wraps in a fresh one.
     """
     n = len(weights)
     terms = {}

@@ -1,20 +1,20 @@
 """Spatial weight matrices, the spatial system I - rho W, and spatial diagnostics.
 
 Weight matrices are dense ``(n, n)`` float arrays with zero diagonals and row
-sums of 1 (all-zero rows mark isolated units and are rejected by consumers
-that need a fully connected system). Weights travel either as such arrays or
-as a :class:`SpatialWeights`: one validated, fully connected matrix that
+sums of 1 (all-zero rows mark isolated units, which only Moran's I accepts).
+A :class:`SpatialWeights` is one validated, fully connected matrix that
 answers what fits ask of W: its unit count, its eigenvalues, computed once and
-carried by every copy, which make each ln|I - rho W| O(n) (Ord 1975), and the
-traces of (I - rho W)^-1 W and its square. The 201 log-dets at ``RHO_GRID``,
-the points that every profile search scans, depend on W alone: they are taken
-once per object, by one broadcast log1p over the eigenvalues, and each is then
-a lookup (Pace & Barry 1997). The constructors here,
-``rook_lattice`` and ``knn_inverse_distance``, return a row-normalized
-:class:`SpatialWeights`, so that W is checked when it is built and decomposed
-once for every fit, solve and Moran's I that shares it. This module owns
-I - rho W: one builder, which checks |rho| < 1, serves the dense
-``log_det_system`` and ``solve_system``.
+carried by every copy, which make each ln|I - rho W| O(n) (Ord 1975), the
+traces of (I - rho W)^-1 W and its square, and every log-det and solve of
+I - rho W. The 201 log-dets at ``RHO_GRID``, the points that every profile
+search scans, depend on W alone: they are taken once per object, by one
+broadcast log1p over the eigenvalues, and each is then a lookup (Pace & Barry
+1997). The constructors here, ``rook_lattice`` and ``knn_inverse_distance``,
+return a row-normalized :class:`SpatialWeights`, so that W is checked when it
+is built and decomposed once for every fit, solve and Moran's I that shares
+it. ``log_det_system``, ``solve_system`` and a design take an array W too, by
+checking it and wrapping it in a fresh one (:meth:`SpatialWeights.of`); only
+``morans_i`` reads an array as it is, as it accepts isolated units.
 
 W's eigenvalues come from a symmetric matrix whenever W allows it. W = D^-1 A
 with symmetric A, as rook and other symmetric contiguity weights are, is
@@ -37,7 +37,7 @@ The same split solves the system. A :class:`SpatialWeights` with a reversible
 bipartite W keeps the smaller colour class, sqrt(pi) on it, and one ``eigh``
 of G = Q diag(mu) Q', which gives its eigenvalues and each ``solve_system``:
 x_a = Pi_a^-1/2 Q ((Q' r) / (1 - rho^2 mu)), by two products with Q and two
-with W. An array, and any other W, is solved by a pivoted LU of I - rho W.
+with W. Any other W is solved by a pivoted LU of I - rho W.
 """
 
 from __future__ import annotations
@@ -79,8 +79,11 @@ def _check_matrix(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weight matrix contains non-finite entries")
+    finite = np.isfinite(w)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        raise ValueError(f"weight matrix has {len(bad)} non-finite entries, at (row, col) "
+                         f"{bad[:10].tolist()}{' ...' if len(bad) > 10 else ''}")
     if np.any(np.diag(w) != 0):
         raise ValueError("weight matrix diagonal must be zero")
     if np.any(w < 0):
@@ -198,72 +201,23 @@ def _check_rho(rho: float) -> float:
     return float(rho)
 
 
-def _system_matrix(rho: float, w) -> np.ndarray:
-    """I - rho W, for square W (an array or a :class:`SpatialWeights`) and |rho| < 1."""
-    _check_rho(rho)
-    w = np.asarray(w.matrix if isinstance(w, SpatialWeights) else w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"weight matrix must be square, got shape {w.shape}")
+def _system_matrix(rho: float, w: np.ndarray) -> np.ndarray:
+    """I - rho W, for a checked W."""
     a = -rho * w
     np.fill_diagonal(a, a.diagonal() + 1.0)
     return a
 
 
 def log_det_system(rho: float, w) -> float:
-    """ln |det(I - rho W)|: Re sum ln(1 - rho lambda) over the eigenvalues of a
-    :class:`SpatialWeights`, O(n) once known, or a pivoted LU of an array. At a
-    point of ``RHO_GRID`` the sum is read from the object's table of them,
-    built on the first such call, and is the same float.
-
-    Raises :class:`NumericalError` when the determinant is non-positive,
-    vanishes or is not finite; for row-stochastic W and |rho| < 1 the system
-    is guaranteed nonsingular with positive determinant.
-    """
-    if isinstance(w, SpatialWeights):
-        rho, sign = _check_rho(rho), 1.0
-        logdet = (w._grid_log_dets[rho] if rho in _ON_GRID
-                  else float(np.log1p(-rho * w.eigenvalues).sum().real))
-    else:
-        sign, logdet = np.linalg.slogdet(_system_matrix(rho, w))
-    if sign == 0.0:
-        raise NumericalError(f"I - rho W is singular at rho={rho}")
-    if sign < 0.0:
-        raise NumericalError(f"det(I - rho W) is negative at rho={rho}")
-    if not math.isfinite(logdet):
-        raise NumericalError(f"ln|det(I - rho W)| is not finite at rho={rho}")
-    return float(logdet)
+    """ln |det(I - rho W)| by :meth:`SpatialWeights.log_det`; an array W is
+    checked and wrapped in a fresh one (:meth:`SpatialWeights.of`)."""
+    return SpatialWeights.of(w).log_det(rho)
 
 
 def solve_system(rho: float, w, rhs) -> np.ndarray:
-    """Solve (I - rho W) x = rhs, for W an array or a :class:`SpatialWeights`.
-
-    A :class:`SpatialWeights` whose W is reversible and bipartite is solved
-    through its half-size Gram matrix's eigh (:meth:`_Bipartite.solve`); every
-    other W by a pivoted LU of I - rho W. Raises ``ValueError`` naming an rhs
-    without n rows or the non-finite entries of W, and :class:`NumericalError`
-    if the system is singular or the solution is not finite.
-    """
-    split = w._route if isinstance(w, SpatialWeights) else None
-    if isinstance(split, _Bipartite):
-        _check_rho(rho)
-    else:
-        a = _system_matrix(rho, w)
-        if not np.isfinite(a).all():
-            bad = np.argwhere(~np.isfinite(a))
-            raise ValueError(f"weight matrix has {len(bad)} non-finite entries, at (row, col) "
-                             f"{bad[:10].tolist()}{' ...' if len(bad) > 10 else ''}")
-    if np.shape(rhs)[:1] != np.shape(w)[:1]:
-        raise ValueError(f"right-hand side has shape {np.shape(rhs)} but W has {np.shape(w)}")
-    try:
-        if isinstance(split, _Bipartite):
-            x = split.solve(rho, w.matrix, np.asarray(rhs, dtype=float))
-        else:
-            x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"I - rho W is singular at rho={rho}") from exc
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"solution of (I - rho W) x = rhs is not finite at rho={rho}")
-    return x
+    """Solve (I - rho W) x = rhs by :meth:`SpatialWeights.solve`; an array W
+    is checked and wrapped in a fresh one (:meth:`SpatialWeights.of`)."""
+    return SpatialWeights.of(w).solve(rho, rhs)
 
 
 def _edges(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -391,10 +345,10 @@ class SpatialWeights:
     solve and Moran's I that shares the object reuses them; wrapping the object
     again is a ``ValueError``. ``eigenvalues`` (read-only, real or complex;
     see the module docstring on their accuracy) is computed on first use, or
-    read from the route that a solve found for a bipartite W, as
-    ``has_eigenvalues`` tells; ``traces`` comes from it, and so does the table
-    of ln|I - rho W| at the 201 points of ``RHO_GRID``, 201 more floats, built
-    on the first log-det at a grid point.
+    read from the route that a solve found for a bipartite W; ``traces`` comes
+    from it, and so do :meth:`log_det` and the table of ln|I - rho W| at the
+    201 points of ``RHO_GRID``, 201 more floats, built on the first log-det at
+    a grid point.
 
     The edges, kept as int32 i and j and float w_ij, 16 bytes per edge, give
     the sums over W that Moran's I needs and, with w_ji read from the matrix
@@ -414,6 +368,13 @@ class SpatialWeights:
         self._edges = _edges(self.matrix)
         self._moran_sums = _sums_of(self.matrix, self._edges)
 
+    @classmethod
+    def of(cls, w) -> SpatialWeights:
+        """``w`` as it is when it is a SpatialWeights, else ``w`` checked and
+        wrapped in a fresh one: the one way an array W enters a log-det, a
+        solve or a design."""
+        return w if isinstance(w, SpatialWeights) else cls(w)
+
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
@@ -429,11 +390,6 @@ class SpatialWeights:
         return _route_of(self.matrix, self._edges)
 
     @property
-    def has_eigenvalues(self) -> bool:
-        """Whether ``eigenvalues`` is known with no further decomposition."""
-        return self._eigenvalues is not None or isinstance(self.__dict__.get("_route"), _Bipartite)
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
             self.__setstate__({"_eigenvalues": _spectrum(self.matrix, self._route)})
@@ -442,10 +398,53 @@ class SpatialWeights:
     @cached_property
     def _grid_log_dets(self) -> dict[float, float]:
         """ln|I - rho W| at each rho of ``RHO_GRID``, by one broadcast log1p taken
-        in place in a (201, n) temporary: each the sum that log_det_system takes."""
+        in place in a (201, n) temporary: each the sum that log_det takes off the grid."""
         table = np.multiply.outer(-RHO_GRID, self.eigenvalues)
         np.log1p(table, out=table)
         return dict(zip(RHO_GRID.tolist(), table.sum(axis=1).real.tolist()))
+
+    def log_det(self, rho: float) -> float:
+        """ln |det(I - rho W)|: read from the table at a point of ``RHO_GRID``;
+        elsewhere Re sum ln(1 - rho lambda), O(n), if the eigenvalues are known
+        (computed, carried by a pickled copy, or held by a bipartite route), and
+        else one pivoted LU, so that a lone rho on a new W runs no ``eigvals``.
+        Raises :class:`NumericalError` unless the determinant is positive and
+        finite, as a row-stochastic W at |rho| < 1 guarantees."""
+        rho, sign = _check_rho(rho), 1.0
+        if rho in _ON_GRID:
+            logdet = self._grid_log_dets[rho]
+        elif self._eigenvalues is not None or isinstance(self.__dict__.get("_route"), _Bipartite):
+            logdet = float(np.log1p(-rho * self.eigenvalues).sum().real)
+        else:
+            sign, logdet = np.linalg.slogdet(_system_matrix(rho, self.matrix))
+        if sign == 0.0:
+            raise NumericalError(f"I - rho W is singular at rho={rho}")
+        if sign < 0.0:
+            raise NumericalError(f"det(I - rho W) is negative at rho={rho}")
+        if not math.isfinite(logdet):
+            raise NumericalError(f"ln|det(I - rho W)| is not finite at rho={rho}")
+        return float(logdet)
+
+    def solve(self, rho: float, rhs) -> np.ndarray:
+        """Solve (I - rho W) x = rhs, through the half-size Gram matrix's eigh
+        (:meth:`_Bipartite.solve`) when W is reversible and bipartite, else by a
+        pivoted LU. Raises ``ValueError`` naming an rhs without n rows, and
+        :class:`NumericalError` if the system is singular or x is not finite."""
+        rho = _check_rho(rho)
+        if np.shape(rhs)[:1] != self.shape[:1]:
+            raise ValueError(f"right-hand side has shape {np.shape(rhs)} but W has {self.shape}")
+        route = self._route
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # the check below names it
+                if isinstance(route, _Bipartite):
+                    x = route.solve(rho, self.matrix, np.asarray(rhs, dtype=float))
+                else:
+                    x = np.linalg.solve(_system_matrix(rho, self.matrix), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"I - rho W is singular at rho={rho}") from exc
+        if not np.all(np.isfinite(x)):
+            raise NumericalError(f"solution of (I - rho W) x = rhs is not finite at rho={rho}")
+        return x
 
     def traces(self, rho: float) -> tuple[float, float]:
         """tr G and tr G^2 for G = (I - rho W)^-1 W, from the eigenvalues."""

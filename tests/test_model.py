@@ -26,7 +26,7 @@ from mixsar.model import (
     optimize_rho,
     wald_std_errors,
 )
-from mixsar.spatial import SpatialWeights, knn_inverse_distance, rook_lattice
+from mixsar.spatial import SpatialWeights, knn_inverse_distance, log_det_system, rook_lattice
 
 RNG = np.random.default_rng(1234)
 
@@ -557,6 +557,15 @@ def test_fit_returns_theta_hat_when_the_composition_underflows(scale):
         assert "theta_hat holds the estimate" in str(warning.message)
 
 
+def dense_loglik(rho, delta, sigma2, design):
+    """The Gaussian log-likelihood at (rho, delta, sigma2), its log-det by a dense
+    slogdet of I - rho W: the oracle for full_loglik and fit's loglik."""
+    y, w, z, n = design.y, design.weights.matrix, design.Z, design.n
+    e = y - rho * (w @ y) - z @ delta
+    return (-0.5 * n * np.log(2.0 * np.pi * sigma2) + np.linalg.slogdet(np.eye(n) - rho * w)[1]
+            - (e @ e) / (2.0 * sigma2))
+
+
 @pytest.mark.parametrize("kind", ["rook", "knn"])
 @pytest.mark.parametrize("rho", [None, 0.6, -0.5])
 def test_fit_loglik_is_full_loglik_at_the_estimates(kind, rho):
@@ -569,9 +578,12 @@ def test_fit_loglik_is_full_loglik_at_the_estimates(kind, rho):
         y = np.linalg.solve(np.eye(36) - 0.4 * w.matrix,
                             0.5 + x @ [1.0, -0.7] + rng.normal(size=36))
     res = fit(y, scalars=x, weights=w, rho=rho)
-    expected = full_loglik(res.rho_hat, res.delta_hat, res.sigma2_hat, make_design(y, x, w))
+    design = make_design(y, x, w)
+    expected = dense_loglik(res.rho_hat, res.delta_hat, res.sigma2_hat, design)
     np.testing.assert_allclose(res.loglik, expected, rtol=1e-13, atol=0)
-    if rho is None:  # the log-det from W's eigenvalues against that from an LU
+    assert math.isclose(full_loglik(res.rho_hat, res.delta_hat, res.sigma2_hat, design),
+                        expected, rel_tol=1e-12)
+    if rho is None:  # pinned at rho_hat, on the W whose eigenvalues the search computed
         pinned = fit(y, scalars=x, weights=w, rho=res.rho_hat)
         np.testing.assert_allclose(pinned.loglik, res.loglik, rtol=1e-13, atol=0)
 
@@ -592,13 +604,16 @@ def test_wy_and_the_residual_have_one_home_in_the_design(name, monkeypatch):
     rho, delta, s2 = res.rho_hat, res.delta_hat, res.sigma2_hat
     assert np.array_equal(res.residuals, design.residuals(rho, delta))
 
+    # the Gaussian formula, bitwise, on the residual that the design forms
     y, w, z, n = design.y, design.weights.matrix, design.Z, design.n
     e = y - rho * (w @ y) - z @ delta
-    gaussian = (-0.5 * n * np.log(2.0 * np.pi * s2) + np.linalg.slogdet(np.eye(n) - rho * w)[1]
+    gaussian = (-0.5 * n * np.log(2.0 * np.pi * s2) + log_det_system(rho, design.weights)
                 - (e @ e) / (2.0 * s2))
     assert full_loglik(rho, delta, s2, design) == gaussian
-    # fit takes the profile at rho_hat, whose log-det comes from W's eigenvalues
-    np.testing.assert_allclose(res.loglik, gaussian, rtol=1e-13, atol=0)
+    # and within rounding of a dense LU; fit takes the profile at rho_hat instead
+    dense = dense_loglik(rho, delta, s2, design)
+    assert math.isclose(full_loglik(rho, delta, s2, design), dense, rel_tol=1e-12)
+    np.testing.assert_allclose(res.loglik, dense, rtol=1e-13, atol=0)
 
 
 def test_z_is_factored_once_per_design(monkeypatch):

@@ -10,7 +10,6 @@ import pytest
 from test_spatial import count_grid_tables
 
 from mixsar import geometry, model, simulation, spatial
-from mixsar.errors import NumericalError
 from mixsar.functional import trapezoid_weights
 from mixsar.simulation import (
     COMP_ILR_COV,
@@ -155,8 +154,9 @@ def test_gen_response_spatial_multiplier_inflates_variance():
 
 
 def test_gen_response_singular_system_is_a_numerical_error():
-    w = np.array([[0.0, 2.0], [2.0, 0.0]])  # I - 0.5 W is singular
-    with pytest.raises(NumericalError, match="singular"):
+    # I - 0.5 W would be singular, but this W is no weight matrix, and is named so
+    w = np.array([[0.0, 2.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match=re.escape("rows [0, 1] are neither zero nor normalized")):
         gen_response(w, 0.5, None, None, None, None, np.ones(2), 1.0, 0.0, _ZeroNormalRng())
 
 

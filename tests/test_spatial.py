@@ -333,12 +333,12 @@ def test_row_normalize_rejects_zero_row():
 
 
 @pytest.mark.parametrize("bad, message", [
-    ([[0.0, np.nan], [1.0, 0.0]], "non-finite"),
-    ([[0.0, np.inf], [1.0, 0.0]], "non-finite"),
+    ([[0.0, np.nan], [1.0, 0.0]], r"1 non-finite entries, at \(row, col\) \[\[0, 1\]\]$"),
+    ([[0.0, np.inf], [np.nan, 0.0]], r"2 non-finite entries, at \(row, col\) \[\[0, 1\], \[1, 0\]\]$"),
     ([[0.0, -1.0], [1.0, 0.0]], "non-negative"),
     ([[1.0, 0.0], [0.0, 1.0]], "diagonal"),
     ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], "square"),
-])
+], ids=["bad0-non-finite", "bad1-non-finite", "bad2-non-negative", "bad3-diagonal", "bad4-square"])
 def test_normalize_and_validate_share_the_matrix_checks(bad, message):
     with pytest.raises(ValueError, match=message) as normalized:
         row_normalize(bad)
@@ -395,17 +395,20 @@ def test_log_det_rejects_rho_out_of_range():
         log_det_system(1.0, random_weights(3))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in slogdet:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_log_det_rejects_non_finite_weights(bad):
-    with pytest.raises(NumericalError, match=r"rho=0\.5"):
+    """An array W is checked as a SpatialWeights is, before any log-det."""
+    with pytest.raises(ValueError, match=re.escape(
+            "weight matrix has 2 non-finite entries, at (row, col) [[0, 1], [1, 0]]")):
         log_det_system(0.5, np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_spectral_log_det_rejects_a_non_finite_result(monkeypatch):
     monkeypatch.setattr(spatial, "_spectrum", lambda w, route: np.array([1.0, np.nan, -1.0]))
+    sw = rook_lattice(1, 3)
+    sw.eigenvalues  # known, so an off-grid log-det takes the sum over them
     with pytest.raises(NumericalError, match=r"not finite at rho=0\.5"):
-        log_det_system(0.5, rook_lattice(1, 3))
+        log_det_system(0.5, sw)
 
 
 def test_a_log_det_read_from_the_grid_table_is_checked_too(monkeypatch):
@@ -416,13 +419,16 @@ def test_a_log_det_read_from_the_grid_table_is_checked_too(monkeypatch):
 
 
 def test_solve_system_rejects_non_finite_solution():
-    # finite system, but x = rhs / 0.5 overflows
+    # finite system, but x = rhs / 0.5 overflows; the bipartite route of this W
+    # gets there with no overflow warning on the way
     w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(NumericalError, match=r"not finite at rho=0\.5"):
-        solve_system(0.5, w, np.full(2, 1e308))
+    for weights in (w, SpatialWeights(w), rook_lattice(1, 2)):
+        with pytest.raises(NumericalError, match=r"not finite at rho=0\.5"):
+            solve_system(0.5, weights, np.full(2, 1e308))
+    with pytest.raises(NumericalError, match=r"not finite at rho=0\.5"):  # the LU route
+        solve_system(0.5, (np.ones((3, 3)) - np.eye(3)) / 2.0, np.full(3, 1e308))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 @pytest.mark.parametrize("rho", [0.5, 0.0])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_solve_system_names_non_finite_weights(bad, rho):
@@ -433,11 +439,16 @@ def test_solve_system_names_non_finite_weights(bad, rho):
         solve_system(rho, w, np.ones(2))
 
 
-def test_log_det_singularity_flagged():
-    # I - rho W singular at rho = 1 with this non-stochastic scaled matrix
+def test_log_det_singularity_flagged(monkeypatch):
+    # I - 0.5 W would be singular for this scaled matrix, which is no weight matrix
     w = np.array([[0.0, 2.0], [2.0, 0.0]])
-    with pytest.raises(NumericalError):
-        log_det_system(0.5, w)  # det = 1 - 1 = 0
+    with pytest.raises(ValueError, match=re.escape("rows [0, 1] are neither zero nor normalized")):
+        log_det_system(0.5, w)
+    # a row-stochastic W never gives a zero determinant at |rho| < 1; were the LU to
+    # find one, it is named
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: (0.0, -np.inf))
+    with pytest.raises(NumericalError, match=r"singular at rho=0\.5"):
+        log_det_system(0.5, (np.ones((3, 3)) - np.eye(3)) / 2.0)
 
 
 # -- linear solves with I - rho W --------------------------------------------------------
@@ -455,9 +466,11 @@ def test_solve_system_matches_dense_inverse():
                                          (random_weights(12, np.random.default_rng(5)), True)],
                          ids=["rook", "asymmetric"])
 def test_solves_take_spatial_weights_and_match_the_array_bitwise(w, bitwise):
-    """An object whose W takes the LU, as an array does, solves bitwise alike. A
-    bipartite W takes the half-size route instead, a different algorithm, so it
-    matches the array's LU to rounding and leaves a residual at rounding."""
+    """An array is solved as the SpatialWeights it is wrapped in, so both solve
+    bitwise alike. An object whose W takes the LU matches a dense LU of I - rho W
+    bitwise; a bipartite W takes the half-size route instead, a different
+    algorithm, so it matches the dense LU to rounding and leaves a residual at
+    rounding."""
     rhs = np.random.default_rng(8).normal(size=w.shape[0])
     obj = SpatialWeights(w)
 
@@ -465,11 +478,13 @@ def test_solves_take_spatial_weights_and_match_the_array_bitwise(w, bitwise):
         return gen_response(weights, 0.3, None, None, None, None, rhs, 1.0, 0.5,
                             np.random.default_rng(9))
     x = solve_system(0.3, obj, rhs)
-    for got, want in ((x, solve_system(0.3, w, rhs)), (draw(obj), draw(w))):
-        if bitwise:
-            assert np.array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert np.array_equal(x, solve_system(0.3, w, rhs))
+    assert np.array_equal(draw(obj), draw(w))
+    dense = np.linalg.solve(np.eye(len(w)) - 0.3 * w, rhs)
+    if bitwise:
+        assert np.array_equal(x, dense)
+    else:
+        np.testing.assert_allclose(x, dense, rtol=1e-12)
     assert np.abs(x - 0.3 * (w @ x) - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
@@ -491,10 +506,16 @@ def test_solve_system_and_log_det_reject_rho_out_of_range(rho):
         log_det_system(rho, SpatialWeights(w))
 
 
-def test_solve_system_singularity_flagged():
+def test_solve_system_singularity_flagged(monkeypatch):
     w = np.array([[0.0, 2.0], [2.0, 0.0]])
-    with pytest.raises(NumericalError, match="singular"):
+    with pytest.raises(ValueError, match=re.escape("rows [0, 1] are neither zero nor normalized")):
         solve_system(0.5, w, np.ones(2))
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NumericalError, match=r"singular at rho=0\.5"):  # on the LU route
+        solve_system(0.5, (np.ones((3, 3)) - np.eye(3)) / 2.0, np.ones(3))
 
 
 
@@ -574,8 +595,8 @@ def test_spectral_log_det_matches_dense_on_the_rho_grid(kind, routes, monkeypatc
     grid = spatial.RHO_GRID
     spectral = [log_det_system(rho, sw) for rho in grid]
     assert used == routes
-    np.testing.assert_allclose(spectral, [log_det_system(rho, w) for rho in grid],
-                               rtol=0, atol=1e-10)
+    dense = [np.linalg.slogdet(np.eye(len(w)) - rho * w)[1] for rho in grid]
+    np.testing.assert_allclose(spectral, dense, rtol=0, atol=1e-10)
 
 
 def test_spatial_weights_computes_its_spectrum_once(monkeypatch):
@@ -720,7 +741,8 @@ def test_spectrum_route_log_det_and_traces_match_dense(w, route, monkeypatch):
     assert used == [route]
     grid = spatial.RHO_GRID
     np.testing.assert_allclose([log_det_system(rho, sw) for rho in grid],
-                               [log_det_system(rho, w) for rho in grid], rtol=0, atol=1e-10)
+                               [np.linalg.slogdet(np.eye(n) - rho * w)[1] for rho in grid],
+                               rtol=0, atol=1e-10)
     for rho in (-0.99, -0.3, 0.5, 0.99):
         g = np.linalg.solve(np.eye(n) - rho * w, w)
         np.testing.assert_allclose(sw.traces(rho), [np.trace(g), np.trace(g @ g)], rtol=1e-10)
@@ -742,6 +764,29 @@ def test_spectrum_route_log_det_and_traces_match_dense(w, route, monkeypatch):
     with pytest.raises(ValueError, match=re.escape(
             f"right-hand side has shape {(n - 1,)} but W has {(n, n)}")):
         solve_system(0.4, sw, rhs[1:, 0])
+
+
+@pytest.mark.parametrize("w", [
+    rook_lattice(4, 5).matrix,
+    queen_lattice(4, 5),
+    knn_inverse_distance(np.random.default_rng(5).uniform(0.0, 10.0, (30, 2)), k=4,
+                         cutoff=100.0).matrix,
+    scipy.linalg.block_diag(rook_lattice(3, 3).matrix, symmetric_on_lattice(2, 4)),
+], ids=["rook", "queen", "knn", "disconnected"])
+def test_an_array_takes_the_route_of_a_fresh_spatial_weights(w):
+    """On every route, a log-det and a solve on an array are bitwise those on a
+    SpatialWeights of it, on the grid and off it, and both match a dense
+    slogdet and LU of I - rho W to 1e-12 relative."""
+    n = len(w)
+    rhs = np.random.default_rng(4).normal(size=(n, 2))
+    for rho in (*spatial.RHO_GRID[[10, 60, 150, 190]].tolist(), -0.9, -0.35, 0.55, 0.95):
+        a = np.eye(n) - rho * w
+        got = log_det_system(rho, w)
+        assert got == log_det_system(rho, SpatialWeights(w))
+        assert math.isclose(got, np.linalg.slogdet(a)[1], rel_tol=1e-12)
+        x = solve_system(rho, w, rhs)
+        assert np.array_equal(x, solve_system(rho, SpatialWeights(w), rhs))
+        np.testing.assert_allclose(x, np.linalg.solve(a, rhs), rtol=1e-12)
 
 
 def test_spectrum_sends_a_weight_off_reversibility_by_1e_9_to_eigvals(monkeypatch):
@@ -813,28 +858,33 @@ def test_edges_and_moran_sums_are_bitwise_the_dense_formulas(w):
 def test_a_pickled_copy_carries_the_route_and_decomposes_nothing(monkeypatch):
     sw = rook_lattice(6, 7)
     copy = pickle.loads(pickle.dumps(sw))
-    used = log_linalg(monkeypatch, names=("eigvals", "eigvalsh", "eigh", "solve"))
-    assert copy.has_eigenvalues
+    used = log_linalg(monkeypatch, names=("eigvals", "eigvalsh", "eigh", "solve", "slogdet"))
     c = np.random.default_rng(6).normal(size=42)
     np.testing.assert_array_equal(solve_system(0.4, copy, c), solve_system(0.4, sw, c))
     assert log_det_system(0.4, copy) == log_det_system(0.4, sw)
     assert used == []
 
 
-def test_has_eigenvalues_tells_whether_the_spectrum_is_free(monkeypatch):
-    """A bipartite W holds its eigenvalues once a solve has found its route; any
-    other W once they are computed."""
-    calls = count_spectra(monkeypatch)
+def test_an_off_grid_log_det_takes_the_spectrum_only_when_it_is_known(monkeypatch):
+    """Off the grid, a W whose eigenvalues are unknown runs one slogdet and no
+    eigvals; a bipartite W holds them once a solve has found its route, and any
+    other W once they are computed, and then runs neither."""
     rook = rook_lattice(4, 5)
     knn = knn_inverse_distance(np.random.default_rng(7).uniform(0.0, 10.0, (20, 2)), k=4,
                                cutoff=100.0)
-    for sw in (rook, knn):
-        assert not sw.has_eigenvalues
-        solve_system(0.3, sw, np.ones(20))
-    assert rook.has_eigenvalues and not knn.has_eigenvalues
-    assert calls == []
+    used = log_linalg(monkeypatch, names=("eigvals", "eigvalsh", "eigh", "slogdet"))
+    log_det_system(0.3, knn)
+    assert used == [("slogdet", (20, 20))]
+    solve_system(0.3, rook, np.ones(20))
+    assert used[1:] == [("eigh", (10, 10))]
+    used.clear()
+    log_det_system(0.3, rook)
+    assert used == []
     knn.eigenvalues
-    assert knn.has_eigenvalues
+    assert used == [("eigvals", (20, 20))]
+    used.clear()
+    assert log_det_system(0.3, knn) == float(np.log1p(-0.3 * knn.eigenvalues).sum().real)
+    assert used == []
 
 
 def count_grid_tables(monkeypatch):
@@ -875,6 +925,7 @@ def test_log_det_on_the_grid_reads_a_table_equal_to_each_sum(w, route, monkeypat
 
 def test_log_det_off_the_grid_takes_the_direct_sum_and_builds_no_table(monkeypatch):
     sw = rook_lattice(6, 7)
+    sw.eigenvalues  # known, so each off-grid log-det is the sum over them
     tables = count_grid_tables(monkeypatch)
     off_grid = [0.4, math.nextafter(float(spatial.RHO_GRID[120]), 1.0),
                 math.nextafter(-spatial.RHO_BOUND, 0.0), np.float64(-0.25), np.array(0.3)]
@@ -997,8 +1048,10 @@ def test_spatial_weights_rejects_what_validate_weights_rejects(bad):
 def test_spatial_weights_refuses_to_wrap_itself():
     """A second object over the same W would check it and find its edges
     again, and start without the first one's route and eigenvalues."""
+    w = rook_lattice(3, 4)
     with pytest.raises(ValueError, match="already a SpatialWeights; pass it as it is"):
-        SpatialWeights(rook_lattice(3, 4))
+        SpatialWeights(w)
+    assert SpatialWeights.of(w) is w  # as log_det_system, solve_system and a design take it
 
 
 # -- Moran's I -------------------------------------------------------------------------
@@ -1096,6 +1149,11 @@ def test_moran_rejects_non_finite_values():
     with pytest.raises(ValueError,
                        match=r"12 non-finite entries, at units \[0, 1, .*, 9\] \.\.\.$"):
         morans_i(np.full(12, np.nan), w)
+    w = w.copy()
+    w[4, 5] = np.inf  # W is named by the same rule, at (row, col)
+    with pytest.raises(ValueError, match=re.escape(
+            "weight matrix has 1 non-finite entries, at (row, col) [[4, 5]]")):
+        morans_i(np.arange(12.0), w)
 
 
 def test_moran_rejects_constant_values():
