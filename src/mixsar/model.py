@@ -134,11 +134,13 @@ class MixedDesign:
 
     def loglik(self, rho: float, ms: float | None = None) -> float:
         """-(n/2) ln(ms) + ln|I - rho W|, with ms = mean_square(rho) unless given: the
-        profile log-likelihood of y / s at rho, n ln s above that of y."""
+        profile log-likelihood of y / s at rho, n ln s above that of y. The log-det,
+        taken first, checks rho; an ms of 0 or inf is a :class:`NumericalError`."""
+        log_det = log_det_system(rho, self.weights)
         ms = self.mean_square(rho) if ms is None else ms
         if not 0.0 < ms < math.inf:
             raise NumericalError(f"residual variance degenerate at rho={rho}")
-        return -0.5 * self.n * math.log(ms) + log_det_system(rho, self.weights)
+        return -0.5 * self.n * math.log(ms) + log_det
 
     def score(self, rho: float) -> tuple[float, float]:
         """f = e'e_w - ms tr G with e = e_y - rho e_w and ms = mean_square(rho), the
@@ -308,9 +310,11 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
     scores with truncation level chosen by the cumulative-eigenvalue share
     ``pve``; compositions enter through their ilr coordinates; any covariate
     block may be omitted. ``rho=None`` estimates the spatial lag by profile
-    likelihood, otherwise the given value is held fixed. ``loglik``, the full
-    log-likelihood at the estimates, is the profile there, its ln|I - rho W| by
-    ``SpatialWeights.log_det``: from the eigenvalues once known, else one LU.
+    likelihood, otherwise the given value is held fixed. ``sigma2_hat`` and
+    ``loglik``, the full log-likelihood, are the design's profile at rho_hat,
+    which rejects a rho outside (-1, 1); its ln|I - rho W| is that of
+    ``SpatialWeights.log_det``, where a non-bipartite W's one exception to call
+    order is set out.
 
     Parameters
     ----------
@@ -375,27 +379,14 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
         y, score_block, ilr_block, scalars, weights=weights, scalar_labels=scalar_labels
     )
 
-    if rho is not None:
-        if not abs(rho) < 1.0:
-            raise ValueError(f"pinned rho must satisfy |rho| < 1, got {rho}")
-        rho_hat = float(rho)
-    else:
-        rho_hat = optimize_rho(design)
-
-    # sums of squares are taken at the design's unit scale s, an exact power of two
-    s = float(design.scale)
+    rho_hat = optimize_rho(design) if rho is None else float(rho)
+    # the profile at rho_hat, in y's units; it checks rho and the residual variance
+    n, s = design.n, float(design.scale)
+    loglik = design.loglik(rho_hat) - n * (0.5 * math.log(2.0 * math.pi) + 0.5 + math.log(s))
     delta = design.delta(rho_hat)
     resid = design.residuals(rho_hat, delta)
     unit = resid / s
-    ms = float(unit @ unit) / design.n
-    sigma2 = ms * s * s
-    if sigma2 <= 0.0:
-        raise NumericalError("exact fit: residual variance is zero")
-    # solved first, as a bipartite W's solve leaves its eigenvalues known
     fitted = solve_system(rho_hat, design.weights, design.Z @ delta)
-    # the profile at rho_hat, in y's units
-    loglik = (-0.5 * design.n * (math.log(2.0 * math.pi * ms) + 1.0) - design.n * math.log(s)
-              + log_det_system(rho_hat, design.weights))
 
     def block(name):
         return delta[design.blocks[name]] if name in design.blocks else np.empty(0)
@@ -423,7 +414,7 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
         b_hat=b_hat,
         theta_hat=theta,
         beta_scalar_hat=beta_scalar,
-        sigma2_hat=sigma2,
+        sigma2_hat=float(design.sigma2(rho_hat)),
         beta_t_hat=beta_t,
         beta_comp_hat=beta_comp,
         grid=basis.grid if basis is not None else None,
@@ -432,7 +423,7 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
         fitted=fitted,
         residuals=resid,
         r_squared=r_squared,
-        mse_fitted=sse / design.n * s * s,
+        mse_fitted=sse / n * s * s,
         residual_moran=morans_i(unit, design.weights),
         column_labels=design.column_labels,
     )

@@ -344,11 +344,11 @@ class SpatialWeights:
     object, and its route and eigenvalues at most once, so that every fit,
     solve and Moran's I that shares the object reuses them; wrapping the object
     again is a ``ValueError``. ``eigenvalues`` (read-only, real or complex;
-    see the module docstring on their accuracy) is computed on first use, or
-    read from the route that a solve found for a bipartite W; ``traces`` comes
-    from it, and so do :meth:`log_det` and the table of ln|I - rho W| at the
-    201 points of ``RHO_GRID``, 201 more floats, built on the first log-det at
-    a grid point.
+    see the module docstring on their accuracy) is computed on first use; for a
+    bipartite W it is read from the route, which the first log-det or solve
+    finds. ``traces`` comes from it, and so do :meth:`log_det` and the table of
+    ln|I - rho W| at the 201 points of ``RHO_GRID``, 201 more floats, built on
+    the first log-det at a grid point.
 
     The edges, kept as int32 i and j and float w_ij, 16 bytes per edge, give
     the sums over W that Moran's I needs and, with w_ji read from the matrix
@@ -405,15 +405,16 @@ class SpatialWeights:
 
     def log_det(self, rho: float) -> float:
         """ln |det(I - rho W)|: read from the table at a point of ``RHO_GRID``;
-        elsewhere Re sum ln(1 - rho lambda), O(n), if the eigenvalues are known
-        (computed, carried by a pickled copy, or held by a bipartite route), and
-        else one pivoted LU, so that a lone rho on a new W runs no ``eigvals``.
+        elsewhere Re sum ln(1 - rho lambda), O(n), for a bipartite W, whose route
+        holds its spectrum, and once the eigenvalues are known. Any other W takes
+        one pivoted LU until then, so a lone rho on a new W runs no ``eigvals``;
+        that log-det alone depends on call order, by rounding.
         Raises :class:`NumericalError` unless the determinant is positive and
         finite, as a row-stochastic W at |rho| < 1 guarantees."""
         rho, sign = _check_rho(rho), 1.0
         if rho in _ON_GRID:
             logdet = self._grid_log_dets[rho]
-        elif self._eigenvalues is not None or isinstance(self.__dict__.get("_route"), _Bipartite):
+        elif self._eigenvalues is not None or isinstance(self._route, _Bipartite):
             logdet = float(np.log1p(-rho * self.eigenvalues).sum().real)
         else:
             sign, logdet = np.linalg.slogdet(_system_matrix(rho, self.matrix))
@@ -447,7 +448,8 @@ class SpatialWeights:
         return x
 
     def traces(self, rho: float) -> tuple[float, float]:
-        """tr G and tr G^2 for G = (I - rho W)^-1 W, from the eigenvalues."""
+        """tr G and tr G^2 for G = (I - rho W)^-1 W, from the eigenvalues; |rho| < 1."""
+        rho = _check_rho(rho)
         g = self.eigenvalues / (1.0 - rho * self.eigenvalues)
         return float(g.sum().real), float((g * g).sum().real)
 

@@ -246,6 +246,35 @@ def test_optimize_rho_finds_an_interior_optimum_near_the_lower_bound():
         assert best >= dense_profile(rho, d)
 
 
+def test_optimize_rho_passes_over_the_rho_whose_log_det_fails(monkeypatch):
+    """A rho whose log-det raises NumericalError scores -inf: the search stays
+    where the profile is finite, though its maximum lies beyond."""
+    y, x, w, _ = sar_instance(n_rows=6, n_cols=6, rho=0.8, rng=np.random.default_rng(2))
+    d = make_design(y, x, w)
+    assert optimize_rho(d) > 0.6
+    log_det = model.log_det_system
+
+    def failing_above_half(rho, weights):
+        if rho > 0.5:
+            raise NumericalError(f"no log-det at rho={rho}")
+        return log_det(rho, weights)
+
+    monkeypatch.setattr(model, "log_det_system", failing_above_half)
+    rho_hat = optimize_rho(d)
+    assert rho_hat == max(r for r in model.RHO_GRID.tolist() if r <= 0.5)
+    assert math.isfinite(d.loglik(rho_hat))
+
+
+def test_optimize_rho_names_a_profile_that_fails_on_the_whole_grid(monkeypatch):
+    def failing(rho, weights):
+        raise NumericalError(f"no log-det at rho={rho}")
+
+    monkeypatch.setattr(model, "log_det_system", failing)
+    y, x, w = small_case()
+    with pytest.raises(NumericalError, match="non-finite on the whole rho grid"):
+        optimize_rho(make_design(y, x, w))
+
+
 def bisect_rho(design):
     """Reference: the rho search before safeguarded Newton. The same grid, then
     bisection on the sign of the score times sigma2(rho) to adjacent floats."""
@@ -421,8 +450,11 @@ def mixed_inputs(n_rows=5, n_cols=6, rho=0.4, seed=11):
 @pytest.mark.parametrize("rho", [np.nan, 1.0, -1.5])
 def test_fit_rejects_pinned_rho_outside_unit_interval(rho):
     y, x, w, _ = sar_instance()
-    with pytest.raises(ValueError, match="pinned rho"):
+    message = re.escape(f"rho must satisfy |rho| < 1, got {rho}")
+    with pytest.raises(ValueError, match=message):
         fit(y, scalars=x, weights=w, rho=rho)
+    with pytest.raises(ValueError, match=message):  # the score, through W's traces
+        make_design(y, x, w).score(rho)
 
 
 def test_fit_pinned_zero_rho_reproduces_ols():
@@ -579,6 +611,10 @@ def test_fit_loglik_is_full_loglik_at_the_estimates(kind, rho):
                             0.5 + x @ [1.0, -0.7] + rng.normal(size=36))
     res = fit(y, scalars=x, weights=w, rho=rho)
     design = make_design(y, x, w)
+    # sigma2 and the log-likelihood each have one home: the design's profile
+    assert res.sigma2_hat == design.sigma2(res.rho_hat)
+    assert res.loglik == design.loglik(res.rho_hat) - design.n * (
+        0.5 * math.log(2.0 * math.pi) + 0.5 + math.log(design.scale))
     expected = dense_loglik(res.rho_hat, res.delta_hat, res.sigma2_hat, design)
     np.testing.assert_allclose(res.loglik, expected, rtol=1e-13, atol=0)
     assert math.isclose(full_loglik(res.rho_hat, res.delta_hat, res.sigma2_hat, design),
@@ -586,6 +622,34 @@ def test_fit_loglik_is_full_loglik_at_the_estimates(kind, rho):
     if rho is None:  # pinned at rho_hat, on the W whose eigenvalues the search computed
         pinned = fit(y, scalars=x, weights=w, rho=res.rho_hat)
         np.testing.assert_allclose(pinned.loglik, res.loglik, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["rook", "knn"])
+def test_a_pinned_fit_does_not_depend_on_what_ran_on_its_weights(kind):
+    """A pinned fit on a fresh rook W and one after an estimated fit on it agree
+    bit for bit: a bipartite W's log-det is always the sum over its spectrum. A
+    non-bipartite W takes one LU until its eigenvalues are known, so its loglik
+    agrees to rounding only; sigma2 does not involve W's log-det."""
+    rng = np.random.default_rng(31)
+    points = rng.uniform(0.0, 10.0, size=(100, 2))
+
+    def weights():
+        if kind == "rook":
+            return rook_lattice(10, 10)
+        return knn_inverse_distance(points, k=4, cutoff=100.0)
+
+    x = rng.normal(size=(100, 2))
+    y = np.linalg.solve(np.eye(100) - 0.4 * weights().matrix,
+                        0.5 + x @ [1.0, -0.7] + rng.normal(size=100))
+    fresh = fit(y, scalars=x, weights=weights(), rho=0.37)
+    w = weights()
+    fit(y, scalars=x, weights=w)
+    after = fit(y, scalars=x, weights=w, rho=0.37)
+    assert after.sigma2_hat == fresh.sigma2_hat
+    if kind == "rook":
+        assert after.loglik == fresh.loglik
+    else:
+        np.testing.assert_allclose(after.loglik, fresh.loglik, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -929,13 +993,15 @@ def rank_deficient_design():
                  ValueError, "design is rank deficient at block 'scalar'", id="profile-rank"),
     pytest.param(lambda y, x, w: make_design(y, x, w).loglik(1.0),
                  ValueError, "rho must satisfy |rho| < 1, got 1.0", id="profile-rho"),
+    pytest.param(lambda y, x, w: make_design(y, x, w).loglik(np.nan),
+                 ValueError, "rho must satisfy |rho| < 1, got nan", id="profile-rho-nan"),
     pytest.param(lambda y, x, w: fit(y, scalars=x, weights=w, pve=0.0),
                  ValueError, "pve must be in (0, 1]", id="fit-pve"),
     pytest.param(lambda y, x, w: fit(y, np.ones((y.size, 3)), weights=w),
                  ValueError, "curves must be RawCurveObservations or CurveSample",
                  id="fit-curve-type"),
     pytest.param(lambda y, x, w: fit(np.zeros(y.size), weights=w, rho=0.3),
-                 NumericalError, "exact fit: residual variance is zero", id="fit-constant-y"),
+                 NumericalError, "residual variance degenerate at rho=0.3", id="fit-constant-y"),
 ])
 def test_model_input_checks(build, error, message):
     with pytest.raises(error, match=re.escape(message)):

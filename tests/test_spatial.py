@@ -449,6 +449,10 @@ def test_log_det_singularity_flagged(monkeypatch):
     monkeypatch.setattr(np.linalg, "slogdet", lambda a: (0.0, -np.inf))
     with pytest.raises(NumericalError, match=r"singular at rho=0\.5"):
         log_det_system(0.5, (np.ones((3, 3)) - np.eye(3)) / 2.0)
+    # nor a negative one, which is named, not taken as |det|
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: (-1.0, 0.25))
+    with pytest.raises(NumericalError, match=r"det\(I - rho W\) is negative at rho=0\.5"):
+        log_det_system(0.5, (np.ones((3, 3)) - np.eye(3)) / 2.0)
 
 
 # -- linear solves with I - rho W --------------------------------------------------------
@@ -495,7 +499,7 @@ def test_solve_system_leaves_weights_untouched():
     np.testing.assert_array_equal(w, before)
 
 
-@pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, np.nan])
+@pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, -1.5, np.nan])
 def test_solve_system_and_log_det_reject_rho_out_of_range(rho):
     w = random_weights(3)
     with pytest.raises(ValueError, match=r"\|rho\| < 1"):
@@ -504,6 +508,8 @@ def test_solve_system_and_log_det_reject_rho_out_of_range(rho):
         log_det_system(rho, w)
     with pytest.raises(ValueError, match=r"\|rho\| < 1"):
         log_det_system(rho, SpatialWeights(w))
+    with pytest.raises(ValueError, match=r"\|rho\| < 1"):
+        SpatialWeights(w).traces(rho)
 
 
 def test_solve_system_singularity_flagged(monkeypatch):
@@ -866,19 +872,20 @@ def test_a_pickled_copy_carries_the_route_and_decomposes_nothing(monkeypatch):
 
 
 def test_an_off_grid_log_det_takes_the_spectrum_only_when_it_is_known(monkeypatch):
-    """Off the grid, a W whose eigenvalues are unknown runs one slogdet and no
-    eigvals; a bipartite W holds them once a solve has found its route, and any
-    other W once they are computed, and then runs neither."""
+    """Off the grid, a bipartite W always sums over its spectrum: its route, which
+    its first log-det or solve finds, holds it. Any other W whose eigenvalues are
+    unknown runs one slogdet and no eigvals, and once they are computed, neither."""
     rook = rook_lattice(4, 5)
     knn = knn_inverse_distance(np.random.default_rng(7).uniform(0.0, 10.0, (20, 2)), k=4,
                                cutoff=100.0)
     used = log_linalg(monkeypatch, names=("eigvals", "eigvalsh", "eigh", "slogdet"))
     log_det_system(0.3, knn)
     assert used == [("slogdet", (20, 20))]
-    solve_system(0.3, rook, np.ones(20))
-    assert used[1:] == [("eigh", (10, 10))]
     used.clear()
-    log_det_system(0.3, rook)
+    assert log_det_system(0.3, rook) == float(np.log1p(-0.3 * rook.eigenvalues).sum().real)
+    assert used == [("eigh", (10, 10))]
+    used.clear()
+    solve_system(0.3, rook, np.ones(20))
     assert used == []
     knn.eigenvalues
     assert used == [("eigvals", (20, 20))]
@@ -1027,6 +1034,33 @@ def test_traces_match_dense_g_and_the_eigenvalue_sums(kind):
         # bitwise the expression it replaced: a sum over (lam / (1 - rho lam))^power
         assert tr_g == float(np.sum((lam / (1.0 - rho * lam)) ** 1).real)
         assert tr_g2 == float(np.sum((lam / (1.0 - rho * lam)) ** 2).real)
+
+
+@pytest.mark.parametrize("kind", ["rook", "knn"])
+def test_an_off_grid_log_det_does_not_depend_on_what_ran_before(kind):
+    """On a rook W the log-det off the grid is one sum over the spectrum, bit for
+    bit, on a fresh W, after a solve and after the eigenvalues. A non-bipartite W
+    takes one LU until its eigenvalues are known and their sum after: the two
+    agree to rounding, not to the bit."""
+    rho = 0.33
+    assert rho not in spatial._ON_GRID
+
+    def weights():
+        if kind == "rook":
+            return rook_lattice(20, 30)
+        return knn_inverse_distance(np.random.default_rng(8).uniform(0.0, 10.0, (100, 2)), k=4,
+                                    cutoff=100.0)
+
+    fresh = log_det_system(rho, weights())
+    solved = weights()
+    solve_system(rho, solved, np.ones(len(solved)))
+    decomposed = weights()
+    decomposed.eigenvalues
+    after = [log_det_system(rho, solved), log_det_system(rho, decomposed)]
+    if kind == "rook":
+        assert after == [fresh, fresh]
+    else:
+        np.testing.assert_allclose(after, [fresh, fresh], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("bad", [
