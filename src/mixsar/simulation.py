@@ -66,7 +66,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("n_rows", "n_cols", "n_reps", "seed", "grid_size"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_rows < 1 or self.n_cols < 1 or self.n_rows * self.n_cols < 2:
             raise ValueError("lattice needs at least 2 cells")
@@ -223,7 +223,7 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimReport:
     ``workers`` must be an integer >= 1; with more than one, each worker
     process receives one contiguous block of replications.
     """
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     t0 = time.perf_counter()
     weights = rook_lattice(config.n_rows, config.n_cols)

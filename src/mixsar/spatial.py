@@ -1,20 +1,20 @@
 """Spatial weight matrices, the spatial system I - rho W, and spatial diagnostics.
 
 Weight matrices are dense ``(n, n)`` float arrays with zero diagonals and row
-sums of 1 (all-zero rows mark isolated units, which only Moran's I accepts).
-A :class:`SpatialWeights` is one validated, fully connected matrix that
-answers what fits ask of W: its unit count, its eigenvalues, computed once and
-carried by every copy, which make each ln|I - rho W| O(n) (Ord 1975), the
-traces of (I - rho W)^-1 W and its square, and every log-det and solve of
-I - rho W. The 201 log-dets at ``RHO_GRID``, the points that every profile
-search scans, depend on W alone: they are taken once per object, by one
-broadcast log1p over the eigenvalues, and each is then a lookup (Pace & Barry
-1997). The constructors here, ``rook_lattice`` and ``knn_inverse_distance``,
-return a row-normalized :class:`SpatialWeights`, so that W is checked when it
-is built and decomposed once for every fit, solve and Moran's I that shares
-it. ``log_det_system``, ``solve_system`` and a design take an array W too, by
-checking it and wrapping it in a fresh one (:meth:`SpatialWeights.of`); only
-``morans_i`` reads an array as it is, as it accepts isolated units.
+sums of 1; an all-zero row marks an isolated unit, which no W may have. A
+:class:`SpatialWeights` is one validated matrix that answers what fits ask of
+W: its unit count, its eigenvalues, computed once and carried by every copy,
+which make each ln|I - rho W| O(n) (Ord 1975), the traces of (I - rho W)^-1 W
+and its square, and every log-det and solve of I - rho W. The 201 log-dets at
+``RHO_GRID``, the points that every profile search scans, depend on W alone:
+they are taken once per object, by one broadcast log1p over the eigenvalues,
+and each is then a lookup (Pace & Barry 1997). The constructors here,
+``rook_lattice`` and ``knn_inverse_distance``, return a row-normalized
+:class:`SpatialWeights`, so that W is checked when it is built and decomposed
+once for every fit, solve and Moran's I that shares it. ``log_det_system``,
+``solve_system``, ``morans_i`` and a design take an array W too, by checking
+it and wrapping it in a fresh one (:meth:`SpatialWeights.of`), so one rule
+says what a W is.
 
 W's eigenvalues come from a symmetric matrix whenever W allows it. W = D^-1 A
 with symmetric A, as rook and other symmetric contiguity weights are, is
@@ -91,15 +91,16 @@ def _check_matrix(w) -> np.ndarray:
     return w
 
 
-def validate_weights(w, allow_isolated: bool = True) -> np.ndarray:
-    """Check square shape, finiteness, zero diagonal, non-negativity, unit (or zero) row sums."""
+def validate_weights(w) -> np.ndarray:
+    """Check square shape, finiteness, zero diagonal, non-negativity and unit row
+    sums; an all-zero row, an isolated unit, is an error of its own."""
     w = _check_matrix(w)
     sums = w.sum(axis=1)
-    zero_rows = np.flatnonzero(sums == 0)
     bad = np.flatnonzero((sums != 0) & (np.abs(sums - 1.0) > 1e-10))
     if bad.size:
         raise ValueError(f"rows {bad.tolist()} are neither zero nor normalized (sums {sums[bad]})")
-    if zero_rows.size and not allow_isolated:
+    zero_rows = np.flatnonzero(sums == 0)
+    if zero_rows.size:
         raise ValueError(f"isolated units (all-zero rows): {zero_rows.tolist()}")
     return w
 
@@ -122,7 +123,7 @@ def rook_lattice(n_rows: int, n_cols: int) -> SpatialWeights:
     border (one step horizontally or vertically).
     """
     for name, size in (("n_rows", n_rows), ("n_cols", n_cols)):
-        if not isinstance(size, (int, np.integer)):
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {size!r}")
     if n_rows < 1 or n_cols < 1 or n_rows * n_cols < 2:
         raise ValueError("lattice needs at least 2 cells")
@@ -169,7 +170,7 @@ def knn_inverse_distance(locations, k: int, cutoff: float,
     1/distance, then row-normalized. A unit that retains no neighbour is an
     error naming the unit.
     """
-    if not isinstance(k, (int, np.integer)):
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -333,22 +334,22 @@ def _search(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SpatialWeights:
-    """One fully connected weight matrix, which answers every spectral question.
+    """One weight matrix with no isolated unit, which answers every spectral question.
 
-    ``matrix`` is what ``validate_weights(w, allow_isolated=False)`` returns,
-    made read-only; it shares memory with ``w`` when ``w`` already is a float
-    array, so ``w`` must not change afterwards. ``len`` is n and ``shape`` is
-    (n, n). Through numpy's array protocol, ``np.asarray(weights)`` is the
-    read-only matrix and ``np.array(weights)`` a writable copy; arithmetic and
-    indexing go through ``matrix``. W is checked and its edges found once per
-    object, and its route and eigenvalues at most once, so that every fit,
-    solve and Moran's I that shares the object reuses them; wrapping the object
-    again is a ``ValueError``. ``eigenvalues`` (read-only, real or complex;
-    see the module docstring on their accuracy) is computed on first use; for a
-    bipartite W it is read from the route, which the first log-det or solve
-    finds. ``traces`` comes from it, and so do :meth:`log_det` and the table of
-    ln|I - rho W| at the 201 points of ``RHO_GRID``, 201 more floats, built on
-    the first log-det at a grid point.
+    ``matrix`` is what ``validate_weights(w)`` returns, made read-only; it
+    shares memory with ``w`` when ``w`` already is a float array, so ``w`` must
+    not change afterwards. ``len`` is n and ``shape`` is (n, n). Through
+    numpy's array protocol, ``np.asarray(weights)`` is the read-only matrix and
+    ``np.array(weights)`` a writable copy; arithmetic and indexing go through
+    ``matrix``. W is checked and its edges found once per object, and its route
+    and eigenvalues at most once, so that every fit, solve and Moran's I that
+    shares the object reuses them; wrapping the object again is a
+    ``ValueError``. ``eigenvalues`` (read-only, real or complex; see the module
+    docstring on their accuracy) is computed on first use; for a bipartite W it
+    is read from the route, which the first log-det or solve finds. ``traces``
+    comes from it, and so do :meth:`log_det` and the table of ln|I - rho W| at
+    the 201 points of ``RHO_GRID``, 201 more floats, built on the first log-det
+    at a grid point.
 
     The edges, kept as int32 i and j and float w_ij, 16 bytes per edge, give
     the sums over W that Moran's I needs and, with w_ji read from the matrix
@@ -362,7 +363,7 @@ class SpatialWeights:
     def __init__(self, w):
         if isinstance(w, SpatialWeights):
             raise ValueError("w is already a SpatialWeights; pass it as it is")
-        self.matrix = validate_weights(w, allow_isolated=False).view()
+        self.matrix = validate_weights(w).view()
         self.matrix.flags.writeable = False
         self._eigenvalues = None
         self._edges = _edges(self.matrix)
@@ -372,7 +373,7 @@ class SpatialWeights:
     def of(cls, w) -> SpatialWeights:
         """``w`` as it is when it is a SpatialWeights, else ``w`` checked and
         wrapped in a fresh one: the one way an array W enters a log-det, a
-        solve or a design."""
+        solve, a Moran's I or a design."""
         return w if isinstance(w, SpatialWeights) else cls(w)
 
     def __len__(self) -> int:
@@ -481,33 +482,26 @@ def morans_i(values, w) -> MoranReport:
 
     I = (n / S0) * (z' W z) / (z' z) with z the centered values. Moments are
     the closed forms under the normality assumption; the p-value is the
-    two-sided normal approximation. ``w`` is an array, validated here, or a
-    :class:`SpatialWeights`, whose edges and sums over W are reused. z' W z
-    and the sums are taken over W's edges (:func:`_edges`).
+    two-sided normal approximation. ``w`` is a :class:`SpatialWeights`, whose
+    edges and sums over W are reused, or an array, checked and wrapped in a
+    fresh one (:meth:`SpatialWeights.of`), which admits no W with one unit or
+    an all-zero row. z' W z and the sums are taken over W's edges
+    (:func:`_edges`).
     """
     x = np.asarray(values, dtype=float).ravel()
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise ValueError(f"values have {bad.size} non-finite entries, at units "
                          f"{bad[:10].tolist()}{' ...' if bad.size > 10 else ''}")
-    if isinstance(w, SpatialWeights):
-        w, edges, (s0, s1, s2) = w.matrix, w._edges, w._moran_sums
-    else:
-        w = validate_weights(w)
-        edges = _edges(w)
-        s0, s1, s2 = _sums_of(w, edges)
+    w = SpatialWeights.of(w)
     n = x.size
-    if w.shape[0] != n:
-        raise ValueError(f"{n} values but {w.shape[0]}x{w.shape[0]} weights")
-    if n < 2:
-        raise ValueError("need at least 2 units")
+    if len(w) != n:
+        raise ValueError(f"{n} values but {len(w)}x{len(w)} weights")
     z = x - x.mean()
     denom = float(z @ z)
     if denom == 0.0:
         raise ValueError("values are constant; Moran's I is undefined")
-    if s0 == 0.0:
-        raise ValueError("weight matrix is all zero")
-    i, j, w_ij = edges
+    (i, j, w_ij), (s0, s1, s2) = w._edges, w._moran_sums
     stat = n / s0 * float((w_ij * z[i] * z[j]).sum()) / denom
 
     expectation = -1.0 / (n - 1)

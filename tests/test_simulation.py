@@ -296,7 +296,7 @@ def test_monte_carlo_deterministic_across_runs_and_workers():
         assert fields(workers) == serial
 
 
-@pytest.mark.parametrize("workers", [0, -3, 2.5, 1.0, "2", None])
+@pytest.mark.parametrize("workers", [0, -3, 2.5, 1.0, "2", None, True])
 def test_run_monte_carlo_rejects_bad_workers(workers):
     cfg = SimConfig(n_rows=4, n_cols=5, rho_true=0.4, alpha_decay=1.1, n_reps=2, seed=1)
     with pytest.raises(ValueError, match="workers must be an integer >= 1"):
@@ -358,11 +358,13 @@ def test_config_validation():
         SimConfig(10, 15, 0.4, 1.1, 10, 1, pve=1.2)
     with pytest.raises(ValueError):
         SimConfig(10, 15, 0.4, 1.1, 10, -1)
-    # NaN slipped past the comparisons, a negative noise scale ran, and a
-    # fractional count or seed failed inside numpy
+    # NaN slipped past the comparisons, a negative noise scale ran, a fractional
+    # count or seed failed inside numpy, and a bool, an int to Python, either ran
+    # (n_reps=True, seed=False) or failed inside numpy (n_rows=True)
     bad = [("alpha_decay", np.nan), ("alpha_decay", np.inf), ("noise_scale", np.nan),
            ("noise_scale", np.inf), ("noise_scale", -1.0), ("n_rows", 2.5), ("n_cols", 2.5),
-           ("n_reps", 2.5), ("grid_size", 2.5), ("seed", 1.5)]
+           ("n_reps", 2.5), ("grid_size", 2.5), ("seed", 1.5), ("n_rows", True),
+           ("n_reps", True), ("seed", False)]
     for name, value in bad:
         args = dict(n_rows=10, n_cols=15, rho_true=0.4, alpha_decay=1.1, n_reps=10, seed=1)
         with pytest.raises(ValueError, match=f"^{name} must be"):

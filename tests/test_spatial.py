@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from mixsar import spatial
 from mixsar.errors import NumericalError
+from mixsar.model import assemble_design, fit
 from mixsar.simulation import gen_response
 from mixsar.spatial import (
     SpatialWeights,
@@ -54,7 +55,7 @@ def test_rook_2x2_two_neighbours_each():
 def test_rook_10x15_interior_cells():
     w = rook_lattice(10, 15).matrix
     assert w.shape == (150, 150)
-    validate_weights(w, allow_isolated=False)
+    validate_weights(w)
     interior = [r * 15 + c for r in range(1, 9) for c in range(1, 14)]
     for i in interior[:10]:
         assert (w[i] > 0).sum() == 4
@@ -79,6 +80,7 @@ def test_rook_rejects_single_cell():
 @pytest.mark.parametrize("n_rows, n_cols, message", [
     (2.5, 3, "n_rows must be an integer, got 2.5"),
     (3, "3", "n_cols must be an integer, got '3'"),
+    (True, 3, "n_rows must be an integer, got True"),
 ])
 def test_rook_rejects_non_integer_sizes(n_rows, n_cols, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -139,7 +141,7 @@ def test_knn_cutoff_severs_clusters():
     w = knn_inverse_distance(pts, k=9, cutoff=10.0).matrix
     assert np.all(w[:5, 5:] == 0)
     assert np.all(w[5:, :5] == 0)
-    validate_weights(w, allow_isolated=False)
+    validate_weights(w)
 
 
 def test_knn_sweep_gives_nine_candidates():
@@ -163,7 +165,7 @@ def test_knn_rejects_duplicate_locations(metric):
         knn_inverse_distance(pts, k=1, cutoff=10.0, metric=metric)
 
 
-@pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", None, True])
 def test_knn_rejects_non_integer_k(k):
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     with pytest.raises(ValueError, match=r"k must be an integer"):
@@ -1073,7 +1075,7 @@ def test_an_off_grid_log_det_does_not_depend_on_what_ran_before(kind):
 ])
 def test_spatial_weights_rejects_what_validate_weights_rejects(bad):
     with pytest.raises(ValueError) as expected:
-        validate_weights(bad, allow_isolated=False)
+        validate_weights(bad)
     with pytest.raises(ValueError) as got:
         SpatialWeights(bad)
     assert str(got.value) == str(expected.value)
@@ -1086,6 +1088,42 @@ def test_spatial_weights_refuses_to_wrap_itself():
     with pytest.raises(ValueError, match="already a SpatialWeights; pass it as it is"):
         SpatialWeights(w)
     assert SpatialWeights.of(w) is w  # as log_det_system, solve_system and a design take it
+
+
+# each entry point that takes W, called with W, a response y and a scalar block x
+TAKES_W = {
+    "log_det_system": lambda w, y, x: log_det_system(0.3, w),
+    "solve_system": lambda w, y, x: solve_system(0.3, w, y),
+    "morans_i": lambda w, y, x: morans_i(y, w),
+    "gen_response": lambda w, y, x: gen_response(w, 0.3, None, None, None, None, x[:, 0], 1.0,
+                                                 0.5, np.random.default_rng(0)),
+    "assemble_design": lambda w, y, x: assemble_design(y, scalars=x, weights=w),
+    "fit": lambda w, y, x: fit(y, scalars=x, weights=w, std_errors=True),
+}
+
+
+@pytest.mark.parametrize("entry", TAKES_W)
+def test_an_array_w_is_wrapped_once_and_an_object_never(entry, monkeypatch):
+    w = rook_lattice(4, 5)
+    rng = np.random.default_rng(12)
+    y, x = rng.normal(size=20), rng.normal(size=(20, 2))
+    built = []
+    init = SpatialWeights.__init__
+    monkeypatch.setattr(SpatialWeights, "__init__",
+                        lambda self, matrix: built.append(matrix) or init(self, matrix))
+    TAKES_W[entry](w.matrix, y, x)
+    assert len(built) == 1
+    TAKES_W[entry](w, y, x)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("entry", TAKES_W)
+def test_every_entry_point_refuses_an_isolated_unit_alike(entry):
+    w = np.pad(rook_lattice(4, 5).matrix, ((0, 1), (0, 1)))  # unit 20 has no neighbour
+    rng = np.random.default_rng(13)
+    y, x = rng.normal(size=21), rng.normal(size=(21, 2))
+    with pytest.raises(ValueError, match=re.escape("isolated units (all-zero rows): [20]")):
+        TAKES_W[entry](w, y, x)
 
 
 # -- Moran's I -------------------------------------------------------------------------
@@ -1207,10 +1245,10 @@ def test_moran_rejects_constant_values():
     pytest.param(lambda: morans_i(np.arange(3.0), rook_lattice(2, 2).matrix),
                  "3 values but 4x4 weights",
                  id="moran-size"),
-    pytest.param(lambda: morans_i([1.0], np.zeros((1, 1))), "need at least 2 units",
+    pytest.param(lambda: morans_i([1.0], np.zeros((1, 1))), "isolated units (all-zero rows): [0]",
                  id="moran-one-unit"),
-    pytest.param(lambda: morans_i([1.0, 2.0, 4.0], np.zeros((3, 3))), "weight matrix is all zero",
-                 id="moran-zero-weights"),
+    pytest.param(lambda: morans_i([1.0, 2.0, 4.0], np.zeros((3, 3))),
+                 "isolated units (all-zero rows): [0, 1, 2]", id="moran-zero-weights"),
 ])
 def test_spatial_input_checks(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
