@@ -1,10 +1,35 @@
-"""Exception types shared across the package.
+"""Exception types, and the one check for each kind of input.
 
-Input/validation problems raise plain ``ValueError``; numerical failures
-(singular systems, non-finite results) raise :class:`NumericalError`. An
-indefinite Wald Hessian only warns (``model.wald_std_errors`` returns None).
+Bad input raises ``ValueError`` naming the argument and the cause; numerical
+failure (a singular system, a non-finite result) raises :class:`NumericalError`,
+and an indefinite Wald Hessian only warns. :func:`require_finite` refuses NaN
+and inf with ``"{name} has {k} non-finite entries, at indices [..]"``, or ``at
+(row, col) [[..]]`` for a 2-d array, listing the first 10; :func:`require_int`
+refuses a count with ``"{name} must be an integer >= {minimum}, got {value!r}"``.
 """
+
+import numpy as np
 
 
 class NumericalError(RuntimeError):
     """A computation failed for numerical reasons (singularity, divergence)."""
+
+
+def require_finite(x: np.ndarray, name: str) -> np.ndarray:
+    """``x`` as it is, if every entry is finite; positions are found only if not."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        two_d = np.ndim(x) == 2
+        bad = np.argwhere(~finite) if two_d else np.flatnonzero(~finite)
+        raise ValueError(f"{name} has {len(bad)} non-finite entries, at "
+                         f"{'(row, col)' if two_d else 'indices'} {bad[:10].tolist()}"
+                         f"{' ...' if len(bad) > 10 else ''}")
+    return x
+
+
+def require_int(value, name: str, minimum: int):
+    """``value`` as it is, if it is an integer, Python's or numpy's but not a bool,
+    of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value

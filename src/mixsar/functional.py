@@ -13,13 +13,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import require_finite, require_int
 
-def _check_finite_points(points: np.ndarray, name: str) -> None:
-    """Reject NaN and infinite points first: the range and order checks pass NaN."""
-    bad = np.flatnonzero(~np.isfinite(points))
-    if bad.size:
-        raise ValueError(f"{name} must be finite, got {points[bad].tolist()} "
-                         f"at indices {bad.tolist()}")
+
+def _points_and_values(points, values, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """What both curve classes check: at least 2 finite ``name`` in [0, 1], as
+    floats, and finite values with one row per subject and a column per point."""
+    points = np.asarray(points, dtype=float)
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    if points.ndim != 1 or points.size < 2:
+        raise ValueError(f"need at least 2 {name}")
+    require_finite(points, name)  # first, as the range and order checks pass NaN
+    if np.any(points < 0.0) or np.any(points > 1.0):
+        raise ValueError(f"{name} must lie in [0, 1]")
+    if values.shape[1] != points.size:
+        raise ValueError(f"values have {values.shape[1]} columns but there are {points.size} {name}")
+    return points, require_finite(values, "curve values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,21 +45,9 @@ class RawCurveObservations:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("need at least 2 observation points")
-        _check_finite_points(times, "observation points")
-        if np.any(times < 0.0) or np.any(times > 1.0):
-            raise ValueError("observation points must lie in [0, 1]")
+        times, values = _points_and_values(self.times, self.values, "observation points")
         if np.any(np.diff(times) < 0):
             raise ValueError("observation points must be non-decreasing")
-        if values.shape[1] != times.size:
-            raise ValueError(
-                f"values have {values.shape[1]} columns but there are {times.size} observation points"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("curve values must be finite")
         dup = np.diff(times) == 0
         if np.any(dup) and not np.array_equal(values[:, :-1][:, dup], values[:, 1:][:, dup]):
             raise ValueError("repeated observation points must carry identical values")
@@ -70,19 +67,9 @@ class CurveSample:
     values: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid needs at least 2 points")
-        _check_finite_points(grid, "grid points")
+        grid, values = _points_and_values(self.grid, self.values, "grid points")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
-        if grid[0] < 0.0 or grid[-1] > 1.0:
-            raise ValueError("grid must lie in [0, 1]")
-        if values.shape[1] != grid.size:
-            raise ValueError(f"values have {values.shape[1]} columns for a {grid.size}-point grid")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("curve values must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -163,8 +150,7 @@ def smooth_curves(raw: RawCurveObservations, bandwidth: float, grid_size: int = 
     """
     if not 0 < bandwidth < np.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
-    if not isinstance(grid_size, (int, np.integer)) or grid_size < 2:
-        raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
+    require_int(grid_size, "grid_size", 2)
     times, uniq_idx = np.unique(raw.times, return_index=True)
     values = raw.values[:, uniq_idx]
 
@@ -252,8 +238,8 @@ def scores(sample: CurveSample, basis: FpcaBasis, m: int) -> np.ndarray:
     centered curve with eigenfunction j. Column means are exactly zero and
     column variances reproduce the eigenvalues.
     """
-    if not 1 <= m <= basis.n_retained:
-        raise ValueError(f"m must be in [1, {basis.n_retained}], got {m}")
+    if require_int(m, "m", 1) > basis.n_retained:
+        raise ValueError(f"m must be at most {basis.n_retained}, got {m}")
     if sample.n_points != basis.grid.size or np.any(sample.grid != basis.grid):
         raise ValueError("sample grid does not match the basis grid")
     centered = sample.values - basis.mean_curve

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require_finite, require_int
+
 # Parts this small after closure are structural zeros in disguise; reject them.
 _MIN_PART = 1e-300
 _SUM_TOL = 1e-10
@@ -30,9 +32,7 @@ def _as_float_array(x, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a 1-d or 2-d array, got ndim={arr.ndim}")
     if arr.shape[-1] < 2:
         raise ValueError(f"{name} needs at least 2 parts, got {arr.shape[-1]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return require_finite(arr, name)
 
 
 def _check_composition(x, name: str = "composition") -> np.ndarray:
@@ -79,9 +79,7 @@ def ilr_basis(n_parts: int) -> np.ndarray:
     -1/sqrt((d-i-1)(d-i)) on parts ``i+1 .. d-1``. Rows are orthonormal and
     sum to zero, so ``ilr(x) = basis @ clr(x)``.
     """
-    d = int(n_parts)
-    if d < 2:
-        raise ValueError("need at least 2 parts")
+    d = require_int(n_parts, "n_parts", 2)
     basis = np.zeros((d - 1, d))
     for i in range(d - 1):
         r = d - i - 1  # number of parts to the right
@@ -105,9 +103,7 @@ def ilr_inv(coords) -> np.ndarray:
     arr = np.asarray(coords, dtype=float)
     if arr.ndim not in (1, 2):
         raise ValueError(f"ilr coordinates must be 1-d or 2-d, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("ilr coordinates contain non-finite entries")
-    d = arr.shape[-1] + 1
-    logs = arr @ ilr_basis(d)
+    require_finite(arr, "ilr coordinates")
+    logs = arr @ ilr_basis(arr.shape[-1] + 1)
     logs = logs - logs.max(axis=-1, keepdims=True)
     return closure(np.exp(logs))

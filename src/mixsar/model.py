@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .errors import NumericalError
+from .errors import NumericalError, require_finite
 from .functional import (
     CurveSample,
     RawCurveObservations,
@@ -86,8 +86,7 @@ class MixedDesign:
     blocks: dict[str, slice]
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("response contains non-finite values")
+        require_finite(self.y, "response")
         m = len(self.weights)
         if m != self.n:
             raise ValueError(f"weights are {m}x{m} but response has {self.n} rows")
@@ -207,8 +206,7 @@ def assemble_design(y, scores_block=None, ilr_block=None, scalars=None, *, weigh
             mat = mat[:, None]
         if mat.ndim != 2 or mat.shape[0] != n:
             raise ValueError(f"{name} block has shape {mat.shape}, expected ({n}, k)")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"{name} block contains non-finite values")
+        require_finite(mat, f"{name} block")
         names = list(names) if names else [f"{prefix}_{j + 1}" for j in range(mat.shape[1])]
         if len(names) != mat.shape[1]:
             raise ValueError(f"{name} labels do not match the block width")
@@ -237,8 +235,8 @@ def full_loglik(rho: float, delta, sigma2: float, design: MixedDesign) -> float:
     while sigma is within 2^+-480, and else the one that brings it there, so
     that neither 2 pi sigma2 nor e'e leaves the float range.
     """
-    if not sigma2 > 0.0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2!r}")
     n = design.n
     q = _unit_scale(math.sqrt(sigma2), _SIGMA_EXPONENT)
     e = design.residuals(rho, np.asarray(delta, dtype=float)) / q

@@ -35,6 +35,7 @@ from functools import partial
 import numpy as np
 
 from . import geometry
+from .errors import require_finite, require_int
 from .functional import CurveSample, trapezoid_weights
 from .model import fit
 from .spatial import SpatialWeights, rook_lattice, solve_system
@@ -64,31 +65,32 @@ class SimConfig:
     grid_size: int = 100
 
     def __post_init__(self):
-        for name in ("n_rows", "n_cols", "n_reps", "seed", "grid_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_rows < 1 or self.n_cols < 1 or self.n_rows * self.n_cols < 2:
+        for name, minimum in (("n_rows", 1), ("n_cols", 1), ("n_reps", 1), ("seed", 0),
+                              ("grid_size", 2)):
+            require_int(getattr(self, name), name, minimum)
+        if self.n_rows * self.n_cols < 2:
             raise ValueError("lattice needs at least 2 cells")
         if not -1.0 < self.rho_true < 1.0:
             raise ValueError("rho_true must be in (-1, 1)")
-        if not 1.0 < self.alpha_decay < np.inf:
-            raise ValueError("alpha_decay must be finite and exceed 1 "
-                             "(square-summable amplitudes)")
-        if not 0.0 <= self.noise_scale < np.inf:
-            raise ValueError("noise_scale must be finite and non-negative")
-        if self.n_reps < 1:
-            raise ValueError("n_reps must be at least 1")
+        _check_alpha_decay(self.alpha_decay)
+        _check_noise_scale(self.noise_scale)
         if not 0.0 < self.pve <= 1.0:
             raise ValueError("pve must be in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
 
     @property
     def n_units(self) -> int:
         return self.n_rows * self.n_cols
+
+
+def _check_alpha_decay(alpha_decay: float) -> None:
+    if not 1.0 < alpha_decay < np.inf:
+        raise ValueError("alpha_decay must be finite and exceed 1 (square-summable amplitudes), "
+                         f"got {alpha_decay!r}")
+
+
+def _check_noise_scale(noise_scale: float) -> None:
+    if not 0.0 <= noise_scale < np.inf:
+        raise ValueError(f"noise_scale must be finite and non-negative, got {noise_scale!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +118,10 @@ def cosine_basis(grid, n_terms: int = N_SERIES_TERMS) -> np.ndarray:
 
 
 def gen_functional(n: int, alpha_decay: float, grid, rng) -> CurveSample:
-    """Draw n random curves from the truncated cosine expansion."""
-    if alpha_decay <= 1.0:
-        raise ValueError("alpha_decay must exceed 1")
+    """Draw n random curves from the truncated cosine expansion. A ``ValueError``
+    refuses an ``alpha_decay`` that is not finite and above 1, as ``SimConfig`` does,
+    and names a non-finite ``grid`` point "at indices [..]" (``require_finite``)."""
+    _check_alpha_decay(alpha_decay)
     return _draw_functional(n, alpha_decay, grid, cosine_basis(grid), rng)
 
 
@@ -138,9 +141,10 @@ def true_beta_t(grid) -> np.ndarray:
 
 
 def gen_composition(n: int, mean, ilr_cov, rng) -> np.ndarray:
-    """Draw compositions that are Gaussian in ilr coordinates."""
+    """Draw compositions that are Gaussian in ilr coordinates. A ``ValueError``
+    names a non-finite ``ilr_cov`` entry "at (row, col) [[..]]" (``require_finite``)."""
     mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(ilr_cov, dtype=float)
+    cov = require_finite(np.asarray(ilr_cov, dtype=float), "ilr covariance")
     if cov.shape != (mean.size - 1, mean.size - 1) or not np.allclose(cov, cov.T):
         raise ValueError("ilr covariance must be symmetric with side d-1")
     try:
@@ -162,7 +166,11 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
     of the generating process is zero. ``weights`` is a
     :class:`~mixsar.spatial.SpatialWeights`, or a row-stochastic array without
     isolated units, which ``solve_system`` checks and wraps in a fresh one.
+    A ``ValueError`` refuses a ``noise_scale`` that is not finite and >= 0, as
+    ``SimConfig`` does, and names a non-finite "scalar term" (or "curve term" or
+    "composition term") "at indices [..]" (``require_finite``) before any solve.
     """
+    _check_noise_scale(noise_scale)
     n = len(weights)
     terms = {}
     if curves is not None:
@@ -177,7 +185,7 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
         if np.shape(term) != (n,):
             raise ValueError(f"{name} count does not match the weight matrix: {name} term has "
                              f"shape {np.shape(term)}, expected ({n},)")
-        signal += term
+        signal += require_finite(term, f"{name} term")
     return solve_system(rho, weights, signal + noise_scale * rng.standard_normal(n))
 
 
@@ -223,8 +231,7 @@ def run_monte_carlo(config: SimConfig, workers: int = 1) -> SimReport:
     ``workers`` must be an integer >= 1; with more than one, each worker
     process receives one contiguous block of replications.
     """
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    require_int(workers, "workers", 1)
     t0 = time.perf_counter()
     weights = rook_lattice(config.n_rows, config.n_cols)
     grid = np.linspace(0.0, 1.0, config.grid_size)

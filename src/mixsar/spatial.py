@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, require_finite, require_int
 
 RHO_BOUND = 0.999
 RHO_GRID = np.linspace(-RHO_BOUND, RHO_BOUND, 201)  # the rho that every profile search scans
@@ -79,11 +79,7 @@ def _check_matrix(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
-    finite = np.isfinite(w)
-    if not finite.all():
-        bad = np.argwhere(~finite)
-        raise ValueError(f"weight matrix has {len(bad)} non-finite entries, at (row, col) "
-                         f"{bad[:10].tolist()}{' ...' if len(bad) > 10 else ''}")
+    require_finite(w, "weight matrix")
     if np.any(np.diag(w) != 0):
         raise ValueError("weight matrix diagonal must be zero")
     if np.any(w < 0):
@@ -122,10 +118,7 @@ def rook_lattice(n_rows: int, n_cols: int) -> SpatialWeights:
     Units are indexed row-major; two cells are neighbours when they share a
     border (one step horizontally or vertically).
     """
-    for name, size in (("n_rows", n_rows), ("n_cols", n_cols)):
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {size!r}")
-    if n_rows < 1 or n_cols < 1 or n_rows * n_cols < 2:
+    if require_int(n_rows, "n_rows", 1) * require_int(n_cols, "n_cols", 1) < 2:
         raise ValueError("lattice needs at least 2 cells")
     n = n_rows * n_cols
     cell = np.arange(n).reshape(n_rows, n_cols)
@@ -144,10 +137,7 @@ def pairwise_distances(locations, metric: str = "euclidean") -> np.ndarray:
     pts = np.asarray(locations, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("locations must be an (n, 2) array")
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        bad = np.flatnonzero(~finite).tolist()
-        raise ValueError(f"non-finite location coordinates at units {bad}")
+    require_finite(pts, "locations")
     if metric == "euclidean":
         diff = pts[:, None, :] - pts[None, :, :]
         return np.sqrt((diff**2).sum(axis=-1))
@@ -170,10 +160,7 @@ def knn_inverse_distance(locations, k: int, cutoff: float,
     1/distance, then row-normalized. A unit that retains no neighbour is an
     error naming the unit.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    require_int(k, "k", 1)
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
     dist = pairwise_distances(locations, metric)
@@ -488,11 +475,7 @@ def morans_i(values, w) -> MoranReport:
     an all-zero row. z' W z and the sums are taken over W's edges
     (:func:`_edges`).
     """
-    x = np.asarray(values, dtype=float).ravel()
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"values have {bad.size} non-finite entries, at units "
-                         f"{bad[:10].tolist()}{' ...' if bad.size > 10 else ''}")
+    x = require_finite(np.asarray(values, dtype=float).ravel(), "values")
     w = SpatialWeights.of(w)
     n = x.size
     if len(w) != n:

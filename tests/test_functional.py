@@ -371,25 +371,27 @@ def fpca_basis(**fields):
     pytest.param(lambda: RawCurveObservations([0.0, 1.5], [[1.0, 2.0]]),
                  "observation points must lie in [0, 1]", id="raw-outside-unit-interval"),
     pytest.param(lambda: RawCurveObservations([0.0, np.inf, 1.0], np.ones((1, 3))),
-                 "observation points must be finite, got [inf] at indices [1]",
+                 "observation points has 1 non-finite entries, at indices [1]",
                  id="raw-non-finite-time"),
     pytest.param(lambda: RawCurveObservations([0.0, 1.0], [[1.0, np.nan]]),
-                 "curve values must be finite", id="raw-non-finite"),
+                 "curve values has 1 non-finite entries, at (row, col) [[0, 1]]",
+                 id="raw-non-finite"),
     pytest.param(lambda: RawCurveObservations([0.0, 0.5, 0.5], [[1.0, 2.0, 3.0]]),
                  "repeated observation points must carry identical values", id="raw-repeat"),
-    pytest.param(lambda: CurveSample([0.5], [[1.0]]), "grid needs at least 2 points",
+    pytest.param(lambda: CurveSample([0.5], [[1.0]]), "need at least 2 grid points",
                  id="sample-one-point"),
     pytest.param(lambda: CurveSample([0.0, 0.0, 1.0], [[1.0, 2.0, 3.0]]),
                  "grid must be strictly increasing", id="sample-repeat"),
-    pytest.param(lambda: CurveSample([-0.5, 1.0], [[1.0, 2.0]]), "grid must lie in [0, 1]",
+    pytest.param(lambda: CurveSample([-0.5, 1.0], [[1.0, 2.0]]), "grid points must lie in [0, 1]",
                  id="sample-outside-unit-interval"),
     pytest.param(lambda: CurveSample([np.nan, 0.5, -np.inf], np.ones((1, 3))),
-                 "grid points must be finite, got [nan, -inf] at indices [0, 2]",
+                 "grid points has 2 non-finite entries, at indices [0, 2]",
                  id="sample-non-finite-grid"),
     pytest.param(lambda: CurveSample(GRID3, [[1.0, 2.0]]),
-                 "values have 2 columns for a 3-point grid", id="sample-width"),
+                 "values have 2 columns but there are 3 grid points", id="sample-width"),
     pytest.param(lambda: CurveSample(GRID3, [[1.0, np.inf, 2.0]]),
-                 "curve values must be finite", id="sample-non-finite"),
+                 "curve values has 1 non-finite entries, at (row, col) [[0, 1]]",
+                 id="sample-non-finite"),
     pytest.param(lambda: fpca_basis(eigenvalues=np.array([1.0, -1.0])),
                  "eigenvalues must be non-negative", id="basis-negative"),
     pytest.param(lambda: fpca_basis(eigenvalues=np.array([1.0, 2.0])),
@@ -408,11 +410,11 @@ def fpca_basis(**fields):
                  "sample grid does not match the basis grid", id="scores-grid"),
     pytest.param(lambda: fit(np.arange(4.0), CurveSample([0.0, 0.3, np.nan, 1.0], np.eye(4)),
                              weights=rook_lattice(2, 2)),
-                 "grid points must be finite, got [nan] at indices [2]", id="fit-sample-nan"),
+                 "grid points has 1 non-finite entries, at indices [2]", id="fit-sample-nan"),
     pytest.param(lambda: fit(np.arange(4.0), RawCurveObservations([0.0, 0.3, np.nan, 1.0],
                                                                   np.eye(4)),
                              weights=rook_lattice(2, 2)),
-                 "observation points must be finite, got [nan] at indices [2]", id="fit-raw-nan"),
+                 "observation points has 1 non-finite entries, at indices [2]", id="fit-raw-nan"),
 ])
 def test_functional_input_checks(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

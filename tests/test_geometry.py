@@ -193,10 +193,11 @@ def test_property_perturb_additivity_and_isometry(data):
                  "composition parts do not sum to 1 (max deviation 4.000e-01)", id="composition-sum"),
     pytest.param(lambda: closure([1e-310, 1.0]), "closure produced a part below 1e-300",
                  id="closure-underflow"),
-    pytest.param(lambda: ilr_basis(1), "need at least 2 parts", id="basis-one-part"),
+    pytest.param(lambda: ilr_basis(1), "n_parts must be an integer >= 2, got 1",
+                 id="basis-one-part"),
     pytest.param(lambda: ilr_inv(np.zeros((1, 1, 2))),
                  "ilr coordinates must be 1-d or 2-d, got ndim=3", id="ilr-inv-ndim"),
-    pytest.param(lambda: ilr_inv([0.0, np.nan]), "ilr coordinates contain non-finite entries",
+    pytest.param(lambda: ilr_inv([0.0, np.nan]), "ilr coordinates has 1 non-finite entries, at indices [1]",
                  id="ilr-inv-non-finite"),
 ])
 def test_geometry_input_checks(build, message):

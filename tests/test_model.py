@@ -163,7 +163,7 @@ def test_full_loglik_matches_reduced_form_density():
     assert full_loglik(rho, delta, sigma2, d) == pytest.approx(oracle, abs=1e-8)
 
 
-@pytest.mark.parametrize("sigma2", [np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("sigma2", [np.nan, 0.0, -1.0, np.inf])
 def test_full_loglik_rejects_non_positive_sigma2(sigma2):
     y, x, w, _ = sar_instance()
     d = make_design(y, x, w)
@@ -983,10 +983,11 @@ def rank_deficient_design():
 @pytest.mark.parametrize("build, error, message", [
     pytest.param(lambda y, x, w: assemble_design(np.where(np.arange(y.size) == 3, np.nan, y),
                                                  scalars=x, weights=w),
-                 ValueError, "response contains non-finite values", id="response-non-finite"),
+                 ValueError, "response has 1 non-finite entries, at indices [3]", id="response-non-finite"),
     pytest.param(lambda y, x, w: assemble_design(y, scalars=np.where(x > 1.0, np.inf, x),
                                                  weights=w),
-                 ValueError, "scalar block contains non-finite values", id="block-non-finite"),
+                 ValueError, "scalar block has 3 non-finite entries, at (row, col) [[4, 1], [6, 1], [8, 1]]",
+                 id="block-non-finite"),
     pytest.param(lambda y, x, w: assemble_design(y, scalars=x, weights=w, scalar_labels=["a"]),
                  ValueError, "scalar labels do not match the block width", id="label-count"),
     pytest.param(lambda y, x, w: rank_deficient_design().delta(0.3),
@@ -1058,7 +1059,7 @@ def test_a_design_checks_its_response_at_construction():
         return MixedDesign(y=y, Z=np.ones((y.size, 1)), weights=SpatialWeights(w),
                            column_labels=("intercept",), blocks={"intercept": slice(0, 1)})
 
-    with pytest.raises(ValueError, match=re.escape("response contains non-finite values")):
+    with pytest.raises(ValueError, match=re.escape("response has 1 non-finite entries, at indices [3]")):
         design(np.where(np.arange(y.size) == 3, np.nan, y), w)
     with pytest.raises(ValueError, match=re.escape("weights are 20x20 but response has 12 rows")):
         design(y, rook_lattice(4, 5).matrix)

@@ -376,7 +376,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("fields, message", [
     ({"n_rows": 1, "n_cols": 1}, "lattice needs at least 2 cells"),
-    ({"grid_size": 1}, "grid_size must be at least 2"),
+    pytest.param({"grid_size": 1}, "grid_size must be an integer >= 2, got 1",
+                 id="fields1-grid_size must be at least 2"),
 ])
 def test_sim_config_rejects_degenerate_settings(fields, message):
     base = dict(n_rows=3, n_cols=4, rho_true=0.5, alpha_decay=1.1, n_reps=2, seed=0)

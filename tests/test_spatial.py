@@ -78,9 +78,12 @@ def test_rook_rejects_single_cell():
 
 
 @pytest.mark.parametrize("n_rows, n_cols, message", [
-    (2.5, 3, "n_rows must be an integer, got 2.5"),
-    (3, "3", "n_cols must be an integer, got '3'"),
-    (True, 3, "n_rows must be an integer, got True"),
+    pytest.param(2.5, 3, "n_rows must be an integer >= 1, got 2.5",
+                 id="2.5-3-n_rows must be an integer, got 2.5"),
+    pytest.param(3, "3", "n_cols must be an integer >= 1, got '3'",
+                 id="3-3-n_cols must be an integer, got '3'"),
+    pytest.param(True, 3, "n_rows must be an integer >= 1, got True",
+                 id="True-3-n_rows must be an integer, got True"),
 ])
 def test_rook_rejects_non_integer_sizes(n_rows, n_cols, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -307,7 +310,7 @@ def test_greatcircle_matches_scalar_formula():
 def test_distances_reject_non_finite_locations(metric, bad):
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
     pts[1, 0] = bad
-    with pytest.raises(ValueError, match=r"non-finite location coordinates at units \[1\]"):
+    with pytest.raises(ValueError, match=re.escape("locations has 1 non-finite entries, at (row, col) [[1, 0]]")):
         pairwise_distances(pts, metric)
     with pytest.raises(ValueError, match="non-finite"):
         knn_inverse_distance(pts, k=1, cutoff=10.0, metric=metric)
@@ -1216,10 +1219,10 @@ def test_moran_rejects_non_finite_values():
     w = rook_lattice(3, 4).matrix
     vals = np.arange(12.0)
     vals[[3, 7]] = [np.nan, np.inf]
-    with pytest.raises(ValueError, match=r"2 non-finite entries, at units \[3, 7\]$"):
+    with pytest.raises(ValueError, match=r"^values has 2 non-finite entries, at indices \[3, 7\]$"):
         morans_i(vals, w)
     with pytest.raises(ValueError,
-                       match=r"12 non-finite entries, at units \[0, 1, .*, 9\] \.\.\.$"):
+                       match=r"12 non-finite entries, at indices \[0, 1, .*, 9\] \.\.\.$"):
         morans_i(np.full(12, np.nan), w)
     w = w.copy()
     w[4, 5] = np.inf  # W is named by the same rule, at (row, col)
@@ -1240,7 +1243,7 @@ def test_moran_rejects_constant_values():
                  id="locations-shape"),
     pytest.param(lambda: pairwise_distances(np.eye(2), metric="manhattan"),
                  "unknown metric 'manhattan'; use 'euclidean' or 'greatcircle'", id="metric"),
-    pytest.param(lambda: knn_inverse_distance(np.eye(2), 0, 1.0), "k must be at least 1",
+    pytest.param(lambda: knn_inverse_distance(np.eye(2), 0, 1.0), "k must be an integer >= 1, got 0",
                  id="knn-k-zero"),
     pytest.param(lambda: morans_i(np.arange(3.0), rook_lattice(2, 2).matrix),
                  "3 values but 4x4 weights",
