@@ -15,12 +15,16 @@ class NumericalError(RuntimeError):
     """A computation failed for numerical reasons (singularity, divergence)."""
 
 
-def require_finite(x: np.ndarray, name: str) -> np.ndarray:
-    """``x`` as it is, if every entry is finite; positions are found only if not."""
+def require_finite(x: np.ndarray, name: str, cells=None) -> np.ndarray:
+    """``x`` as it is, if every entry is finite; positions are found only if not.
+    ``cells``, a pair of arrays that give the (row, col) of each entry of a 1-d
+    ``x``, as a weight matrix's edges do, names them as a 2-d array's are."""
     finite = np.isfinite(x)
     if not finite.all():
-        two_d = np.ndim(x) == 2
-        bad = np.argwhere(~finite) if two_d else np.flatnonzero(~finite)
+        bad = np.argwhere(~finite) if np.ndim(x) == 2 else np.flatnonzero(~finite)
+        if cells is not None:
+            bad = np.column_stack([c[bad] for c in cells])
+        two_d = bad.ndim == 2
         raise ValueError(f"{name} has {len(bad)} non-finite entries, at "
                          f"{'(row, col)' if two_d else 'indices'} {bad[:10].tolist()}"
                          f"{' ...' if len(bad) > 10 else ''}")

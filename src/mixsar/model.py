@@ -113,7 +113,7 @@ class MixedDesign:
 
     @cached_property
     def wy(self) -> np.ndarray:
-        return self.weights.matrix @ self.y
+        return self.weights.lag(self.y)
 
     def residuals(self, rho: float, delta: np.ndarray) -> np.ndarray:
         return self.y - rho * self.wy - self.Z @ delta

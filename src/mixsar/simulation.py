@@ -119,8 +119,10 @@ def cosine_basis(grid, n_terms: int = N_SERIES_TERMS) -> np.ndarray:
 
 def gen_functional(n: int, alpha_decay: float, grid, rng) -> CurveSample:
     """Draw n random curves from the truncated cosine expansion. A ``ValueError``
-    refuses an ``alpha_decay`` that is not finite and above 1, as ``SimConfig`` does,
-    and names a non-finite ``grid`` point "at indices [..]" (``require_finite``)."""
+    refuses an n that is not an integer >= 1 (``require_int``), an
+    ``alpha_decay`` that is not finite and above 1, as ``SimConfig`` does, and
+    names a non-finite ``grid`` point "at indices [..]" (``require_finite``)."""
+    require_int(n, "n", 1)
     _check_alpha_decay(alpha_decay)
     return _draw_functional(n, alpha_decay, grid, cosine_basis(grid), rng)
 
@@ -142,7 +144,9 @@ def true_beta_t(grid) -> np.ndarray:
 
 def gen_composition(n: int, mean, ilr_cov, rng) -> np.ndarray:
     """Draw compositions that are Gaussian in ilr coordinates. A ``ValueError``
-    names a non-finite ``ilr_cov`` entry "at (row, col) [[..]]" (``require_finite``)."""
+    refuses an n that is not an integer >= 1 (``require_int``) and names a
+    non-finite ``ilr_cov`` entry "at (row, col) [[..]]" (``require_finite``)."""
+    require_int(n, "n", 1)
     mean = np.asarray(mean, dtype=float)
     cov = require_finite(np.asarray(ilr_cov, dtype=float), "ilr covariance")
     if cov.shape != (mean.size - 1, mean.size - 1) or not np.allclose(cov, cov.T):
@@ -167,7 +171,8 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
     :class:`~mixsar.spatial.SpatialWeights`, or a row-stochastic array without
     isolated units, which ``solve_system`` checks and wraps in a fresh one.
     A ``ValueError`` refuses a ``noise_scale`` that is not finite and >= 0, as
-    ``SimConfig`` does, and names a non-finite "scalar term" (or "curve term" or
+    ``SimConfig`` does, and a ``beta_comp`` with another part count than
+    ``comps``, and names a non-finite "scalar term" (or "curve term" or
     "composition term") "at indices [..]" (``require_finite``) before any solve.
     """
     _check_noise_scale(noise_scale)
@@ -177,7 +182,11 @@ def gen_response(weights, rho: float, curves: CurveSample | None, beta_t, comps,
         wq = trapezoid_weights(curves.grid)
         terms["curve"] = (curves.values * wq) @ np.asarray(beta_t, dtype=float)
     if comps is not None:
-        terms["composition"] = geometry.ilr(comps) @ geometry.ilr(beta_comp)
+        coords, coef = geometry.ilr(comps), geometry.ilr(beta_comp)
+        if coef.shape[-1] != coords.shape[-1]:
+            raise ValueError(f"beta_comp has {coef.shape[-1] + 1} parts but comps have "
+                             f"{coords.shape[-1] + 1}")
+        terms["composition"] = coords @ coef
     if scalars is not None:
         terms["scalar"] = np.asarray(scalars, dtype=float) * float(beta_scalar)
     signal = np.zeros(n)

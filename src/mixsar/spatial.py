@@ -1,20 +1,22 @@
 """Spatial weight matrices, the spatial system I - rho W, and spatial diagnostics.
 
-Weight matrices are dense ``(n, n)`` float arrays with zero diagonals and row
-sums of 1; an all-zero row marks an isolated unit, which no W may have. A
-:class:`SpatialWeights` is one validated matrix that answers what fits ask of
-W: its unit count, its eigenvalues, computed once and carried by every copy,
-which make each ln|I - rho W| O(n) (Ord 1975), the traces of (I - rho W)^-1 W
-and its square, and every log-det and solve of I - rho W. The 201 log-dets at
-``RHO_GRID``, the points that every profile search scans, depend on W alone:
-they are taken once per object, by one broadcast log1p over the eigenvalues,
-and each is then a lookup (Pace & Barry 1997). The constructors here,
-``rook_lattice`` and ``knn_inverse_distance``, return a row-normalized
-:class:`SpatialWeights`, so that W is checked when it is built and decomposed
-once for every fit, solve and Moran's I that shares it. ``log_det_system``,
-``solve_system``, ``morans_i`` and a design take an array W too, by checking
-it and wrapping it in a fresh one (:meth:`SpatialWeights.of`), so one rule
-says what a W is.
+A weight matrix W has a zero diagonal, non-negative entries and row sums of 1;
+an all-zero row marks an isolated unit, which no W may have. A
+:class:`SpatialWeights` is one validated W, kept as its edges: the (i, j) with
+w_ij > 0, sorted row-major. It answers what fits ask of W: its unit count, the
+spatial lag W x, one product over the edges, its eigenvalues, computed once
+and carried by every copy, which make each ln|I - rho W| O(n) (Ord 1975), the
+traces of (I - rho W)^-1 W and its square, and every log-det and solve of
+I - rho W. The 201 log-dets at ``RHO_GRID``, the points that every profile
+search scans, depend on W alone: they are taken once per object, by one
+broadcast log1p over the eigenvalues, and each is then a lookup (Pace & Barry
+1997). ``rook_lattice`` builds its W from the edges, in O(n), and
+``knn_inverse_distance`` from a dense (n, n) array; both return a
+row-normalized :class:`SpatialWeights`, so that W is checked when it is built
+and decomposed once for every fit, solve and Moran's I that shares it.
+``log_det_system``, ``solve_system``, ``morans_i`` and a design take an array W
+too, by checking it and wrapping it in a fresh one (:meth:`SpatialWeights.of`),
+so one rule says what a W is.
 
 W's eigenvalues come from a symmetric matrix whenever W allows it. W = D^-1 A
 with symmetric A, as rook and other symmetric contiguity weights are, is
@@ -37,7 +39,8 @@ The same split solves the system. A :class:`SpatialWeights` with a reversible
 bipartite W keeps the smaller colour class, sqrt(pi) on it, and one ``eigh``
 of G = Q diag(mu) Q', which gives its eigenvalues and each ``solve_system``:
 x_a = Pi_a^-1/2 Q ((Q' r) / (1 - rho^2 mu)), by two products with Q and two
-with W. Any other W is solved by a pivoted LU of I - rho W.
+lags. Any other W is solved by a pivoted LU of I - rho W, which forms W's
+(n, n) matrix.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ RHO_GRID = np.linspace(-RHO_BOUND, RHO_BOUND, 201)  # the rho that every profile
 RHO_GRID.flags.writeable = False
 _ON_GRID = frozenset(RHO_GRID.tolist())
 _REVERSIBLE_RTOL = 1e-12  # tau: how far pi_i w_ij and pi_j w_ji may differ, relatively
-_EDGE_BLOCK = 1 << 16  # edges per block of the w_ji that _sums_of gathers, so none is nnz long
+_EDGE_BLOCK = 1 << 16  # edges per block of w_ji that _transposed looks up; no query is nnz long
 
 
 @dataclass(frozen=True)
@@ -87,18 +90,55 @@ def _check_matrix(w) -> np.ndarray:
     return w
 
 
-def validate_weights(w) -> np.ndarray:
-    """Check square shape, finiteness, zero diagonal, non-negativity and unit row
-    sums; an all-zero row, an isolated unit, is an error of its own."""
-    w = _check_matrix(w)
-    sums = w.sum(axis=1)
+def _check_row_sums(sums: np.ndarray) -> None:
+    """Every row sums to 1, to 1e-10; an all-zero row, an isolated unit, is an error of its own."""
     bad = np.flatnonzero((sums != 0) & (np.abs(sums - 1.0) > 1e-10))
     if bad.size:
         raise ValueError(f"rows {bad.tolist()} are neither zero nor normalized (sums {sums[bad]})")
     zero_rows = np.flatnonzero(sums == 0)
     if zero_rows.size:
         raise ValueError(f"isolated units (all-zero rows): {zero_rows.tolist()}")
+
+
+def validate_weights(w) -> np.ndarray:
+    """Check square shape, finiteness, zero diagonal, non-negativity and unit row
+    sums; an all-zero row, an isolated unit, is an error of its own."""
+    w = _check_matrix(w)
+    _check_row_sums(w.sum(axis=1))
     return w
+
+
+def _check_edges(n: int, i, j, w_ij) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copies of the edges of a W of n units, as int32 i and j and float w_ij,
+    once they pass the checks that ``validate_weights`` makes of an array, with
+    its messages, a non-finite w_ij named at its (row, col): finite, no
+    self-loop, no negative weight, and unit row sums with no isolated unit. An
+    edge must also join two of the n units, have a positive weight, and come
+    after the one before it in row-major order, so that no (i, j) repeats."""
+    require_int(n, "n", 1)
+    i, j, w_ij = np.asarray(i), np.asarray(j), np.array(w_ij, dtype=float)
+    if not (i.shape == j.shape == w_ij.shape == (w_ij.size,)
+            and {i.dtype.kind, j.dtype.kind} <= {"i", "u"}):
+        raise ValueError("edges must be three 1-d arrays of one length, i and j integer: "
+                         f"got {i.dtype}{i.shape}, {j.dtype}{j.shape} and {w_ij.shape}")
+    require_finite(w_ij, "weight matrix", cells=(i, j))
+    outside = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
+    if outside.size:
+        raise ValueError(f"edges must join units 0 to {n - 1}, got (row, col) "
+                         f"{np.column_stack([i, j])[outside[:10]].tolist()}")
+    if np.any(i == j):
+        raise ValueError("weight matrix diagonal must be zero")
+    if np.any(w_ij < 0):
+        raise ValueError("weight matrix entries must be non-negative")
+    if not np.all(w_ij > 0):
+        raise ValueError("edge weights must be positive; a zero weight is no edge")
+    after = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
+    if not after.all():
+        k = int(np.argmin(after)) + 1
+        raise ValueError(f"edges must be unique and sorted row-major: edge {k}, (row, col) "
+                         f"{[int(i[k]), int(j[k])]}, is not after {[int(i[k - 1]), int(j[k - 1])]}")
+    _check_row_sums(np.bincount(i, w_ij, minlength=n))
+    return i.astype(np.int32), j.astype(np.int32), w_ij
 
 
 def row_normalize(w) -> np.ndarray:
@@ -113,7 +153,8 @@ def row_normalize(w) -> np.ndarray:
 
 def rook_lattice(n_rows: int, n_cols: int) -> SpatialWeights:
     """Row-normalized rook-contiguity weights on an R x T grid, as a
-    :class:`SpatialWeights`; its ``matrix`` is the (n, n) array.
+    :class:`SpatialWeights` built from its edges, in O(n), with
+    w_ij = 1 / deg_i; its ``matrix``, the (n, n) array, is formed on first use.
 
     Units are indexed row-major; two cells are neighbours when they share a
     border (one step horizontally or vertically).
@@ -122,10 +163,14 @@ def rook_lattice(n_rows: int, n_cols: int) -> SpatialWeights:
         raise ValueError("lattice needs at least 2 cells")
     n = n_rows * n_cols
     cell = np.arange(n).reshape(n_rows, n_cols)
-    adj = np.zeros((n, n))
-    for a, b in ((cell[:, :-1], cell[:, 1:]), (cell[:-1], cell[1:])):
-        adj[a, b] = adj[b, a] = 1.0
-    return SpatialWeights(row_normalize(adj))
+    # each cell's neighbours above, left, right and below, in ascending order; -1 off the grid
+    near = np.full((n_rows, n_cols, 4), -1)
+    near[1:, :, 0], near[:, 1:, 1] = cell[:-1], cell[:, :-1]
+    near[:, :-1, 2], near[:-1, :, 3] = cell[:, 1:], cell[1:]
+    near = near.reshape(n, 4)
+    degree = np.count_nonzero(near >= 0, axis=1)
+    i = np.repeat(np.arange(n), degree)
+    return SpatialWeights.from_edges(n, i, near[near >= 0], 1.0 / degree[i])
 
 
 def pairwise_distances(locations, metric: str = "euclidean") -> np.ndarray:
@@ -210,13 +255,35 @@ def solve_system(rho: float, w, rhs) -> np.ndarray:
 
 def _edges(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """W's edges ``(i, j, w_ij)``: the (i, j) with w_ij > 0 in row-major order,
-    as int32, and w_ij, gathered by the int32 indices from the flat positions k."""
+    as int32, and w_ij, from their flat positions k, with no division: i repeats
+    each row's index as often as k falls in that row, and j = k - n i."""
     n = w.shape[0]
     k = np.flatnonzero(w > 0)
-    i = (k // n).astype(np.int32)
-    k %= n
-    j = k.astype(np.int32)
-    return i, j, w[i, j]
+    w_ij = w.ravel()[k]
+    per_row = np.diff(np.searchsorted(k, np.arange(0, n * n + 1, n)))
+    i = np.repeat(np.arange(n, dtype=np.int32), per_row)
+    k -= np.multiply(i, n, dtype=np.int64)
+    return i, k.astype(np.int32), w_ij
+
+
+def _transposed(edges) -> np.ndarray:
+    """w_ji on each of W's edges (i, j), 0 where W has no edge (j, i), looked up
+    among the edges' keys i m + j, ascending as the edges are sorted, m being one
+    above the largest index, which are int32 while m^2 fits, 4 bytes per edge;
+    ``_EDGE_BLOCK`` edges are looked up at a time."""
+    i, j, w_ij = edges
+    w_ji = np.zeros_like(w_ij)
+    m = int(max(i.max(initial=-1), j.max(initial=-1))) + 1
+    kind = np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
+    keys = i.astype(kind)
+    keys *= m
+    keys += j
+    for start in range(0, keys.size, _EDGE_BLOCK):
+        e = slice(start, start + _EDGE_BLOCK)
+        query = j[e].astype(kind) * m + i[e]
+        at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        w_ji[e] = np.where(keys[at] == query, w_ij[at], 0.0)
+    return w_ji
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,26 +299,26 @@ class _Bipartite:
     mu: np.ndarray
     q: np.ndarray
 
-    def solve(self, rho: float, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """(I - rho W) x = rhs, for this split's W, in O(n1^2 + n^2). As
+    def solve(self, rho: float, w: SpatialWeights, rhs: np.ndarray) -> np.ndarray:
+        """(I - rho W) x = rhs, for this split's W, in O(n1^2 + nnz). As
         W_aa = W_bb = 0 and W_ab W_ba = Pi_a^-1/2 G Pi_a^1/2, x_a = Pi_a^-1/2 Q
         ((Q' r) / (1 - rho^2 mu)) for r = Pi_a^1/2 (rhs_a + rho (W rhs)_a),
         taken as Pi_a^-1/2 (r + Q ((rho^2 mu / (1 - rho^2 mu)) Q' r)), whose
         rounding vanishes at rho = 0, and x_b = rhs_b + rho (W x)_b, with x taken
-        as 0 on b. W multiplies rhs in its own shape."""
+        as 0 on b. Each W x is the lag :meth:`SpatialWeights.lag`."""
         trailing = tuple(range(1, rhs.ndim))
         root = np.expand_dims(self.root, trailing)
         gain = np.expand_dims((rho * rho) * self.mu, trailing)
-        r = root * (rhs[self.a] + rho * (w @ rhs)[self.a])
+        r = root * (rhs[self.a] + rho * w.lag(rhs)[self.a])
         x = np.zeros_like(rhs)
         x[self.a] = (r + self.q @ (gain / (1.0 - gain) * (self.q.T @ r))) / root
-        out = rhs + rho * (w @ x)
+        out = rhs + rho * w.lag(x)
         out[self.a] = x[self.a]
         return out
 
 
-def _route_of(w: np.ndarray, edges) -> str | _Bipartite:
-    """How W, with the :func:`_edges` given, is decomposed and solved.
+def _route_of(n: int, edges) -> str | _Bipartite:
+    """How the W of n units with these :func:`_edges` is decomposed and solved.
 
     W is reversible if its support is symmetric and pi_i w_ij and pi_j w_ji,
     with pi from :func:`_search`, agree on every edge to a relative tau =
@@ -259,10 +326,10 @@ def _route_of(w: np.ndarray, edges) -> str | _Bipartite:
     for a reversible W with an edge inside a colour class, and else the
     :class:`_Bipartite` split, by one ``eigh`` of G = B B', B scattered from
     the edges into a dense temporary: b_pq = sqrt(w_ij w_ji) for unit i, the
-    p-th of class a, and j, the q-th of class b.
+    p-th of class a, and j, the q-th of class b, w_ji from :func:`_transposed`.
     """
-    (i, j, w_ij), n = edges, len(w)
-    w_ji = w[j, i]
+    i, j, w_ij = edges
+    w_ji = _transposed(edges)
     if not np.all(w_ji > 0):
         return "eigvals"
     colour, pi = _search(n, (i, j, w_ij, w_ji))
@@ -281,18 +348,19 @@ def _route_of(w: np.ndarray, edges) -> str | _Bipartite:
     return _Bipartite(a, np.sqrt(pi[a]), *np.linalg.eigh(dense @ dense.T))
 
 
-def _spectrum(w: np.ndarray, route: str | _Bipartite) -> np.ndarray:
-    """W's eigenvalues, from the cheapest matrix that W's ``route``
-    (:func:`_route_of`) allows, as the module docstring sets out: +-sqrt(mu)
-    and zeros from the mu that a bipartite route holds, ``eigvalsh(S)`` for
-    any other reversible W, and ``eigvals(W)`` for the rest. No I - rho W is
-    formed."""
+def _spectrum(w, route: str | _Bipartite) -> np.ndarray:
+    """The eigenvalues of W, a :class:`SpatialWeights` or an array, from the
+    cheapest matrix that W's ``route`` (:func:`_route_of`) allows, as the module
+    docstring sets out: +-sqrt(mu) and zeros from the mu that a bipartite route
+    holds, with no (n, n) array, ``eigvalsh(S)`` for any other reversible W, and
+    ``eigvals(W)`` for the rest, which read W's matrix. No I - rho W is formed."""
     if route == "eigvals":
-        return np.linalg.eigvals(w)
+        return np.linalg.eigvals(np.asarray(w))
     if route == "eigvalsh":
+        w = np.asarray(w)
         return np.linalg.eigvalsh(np.sqrt(w * w.T))
     sigma = np.sqrt(np.clip(route.mu, 0.0, None))
-    return np.concatenate([-sigma[::-1], np.zeros(w.shape[0] - 2 * sigma.size), sigma])
+    return np.concatenate([-sigma[::-1], np.zeros(len(w) - 2 * sigma.size), sigma])
 
 
 def _search(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
@@ -321,15 +389,24 @@ def _search(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SpatialWeights:
-    """One weight matrix with no isolated unit, which answers every spectral question.
+    """One weight matrix with no isolated unit, kept as its edges, which answers
+    every spectral question.
 
-    ``matrix`` is what ``validate_weights(w)`` returns, made read-only; it
-    shares memory with ``w`` when ``w`` already is a float array, so ``w`` must
-    not change afterwards. ``len`` is n and ``shape`` is (n, n). Through
-    numpy's array protocol, ``np.asarray(weights)`` is the read-only matrix and
-    ``np.array(weights)`` a writable copy; arithmetic and indexing go through
-    ``matrix``. W is checked and its edges found once per object, and its route
-    and eigenvalues at most once, so that every fit, solve and Moran's I that
+    What it keeps is W's edges, int32 i and j and float w_ij, sorted row-major,
+    16 bytes per edge. ``SpatialWeights(w)`` checks an array ``w`` by
+    ``validate_weights`` and finds its edges; :meth:`from_edges` checks edges
+    as given. ``matrix`` is W as a read-only (n, n) array. An object built from
+    an array keeps that array, made read-only, which shares memory with ``w``
+    when ``w`` already is a float array, so ``w`` must not change afterwards.
+    An object built from edges forms its matrix only on first use: by the
+    ``eigvals`` and ``eigvalsh`` routes, the LU log-det and solve, and numpy's
+    array protocol, through which ``np.asarray(weights)`` is the read-only
+    matrix and ``np.array(weights)`` a writable copy; arithmetic and indexing go
+    through ``matrix`` too. A reversible bipartite W, a rook lattice's, never
+    needs it. ``len`` is n and ``shape`` is (n, n).
+
+    W is checked and its edges found once per object, and its route and
+    eigenvalues at most once, so that every fit, solve and Moran's I that
     shares the object reuses them; wrapping the object again is a
     ``ValueError``. ``eigenvalues`` (read-only, real or complex; see the module
     docstring on their accuracy) is computed on first use; for a bipartite W it
@@ -338,13 +415,14 @@ class SpatialWeights:
     the 201 points of ``RHO_GRID``, 201 more floats, built on the first log-det
     at a grid point.
 
-    The edges, kept as int32 i and j and float w_ij, 16 bytes per edge, give
-    the sums over W that Moran's I needs and, with w_ji read from the matrix
-    again, W's route (:func:`_route_of`). That of a reversible bipartite W keeps
-    G's eigenvectors Q, the 8 n1^2 bytes that G took (1.6 MB on a 30 x 30 rook
+    The edges give every W x (:meth:`lag`), the sums over W that Moran's I
+    needs and, with each w_ji looked up among them (:func:`_transposed`), W's
+    route (:func:`_route_of`). That of a reversible bipartite W keeps G's
+    eigenvectors Q, the 8 n1^2 bytes that G took (1.6 MB on a 30 x 30 rook
     lattice), and mu, the smaller colour class and sqrt(pi) on it, 24 n1 bytes.
-    A pickled copy carries the route and the eigenvalues: it decomposes nothing,
-    and rebuilds the table from them in O(201 n).
+    A pickled copy carries the edges, the sums, the route and the eigenvalues,
+    not the matrix: it checks and decomposes nothing, and rebuilds the table
+    from them in O(201 n).
     """
 
     def __init__(self, w):
@@ -352,9 +430,28 @@ class SpatialWeights:
             raise ValueError("w is already a SpatialWeights; pass it as it is")
         self.matrix = validate_weights(w).view()
         self.matrix.flags.writeable = False
-        self._eigenvalues = None
-        self._edges = _edges(self.matrix)
-        self._moran_sums = _sums_of(self.matrix, self._edges)
+        edges = _edges(self.matrix)
+        self._hold(len(self.matrix), edges, _sums_of(edges))
+
+    @classmethod
+    def from_edges(cls, n: int, i, j, w_ij) -> SpatialWeights:
+        """The W of n units whose edges are (i[k], j[k]) with weights w_ij[k],
+        sorted row-major, checked by the rules of ``validate_weights`` and its
+        messages, and in range, unique, sorted and of positive weight."""
+        edges = _check_edges(n, i, j, w_ij)
+        return cls._of_checked_edges(n, edges, _sums_of(edges))
+
+    @classmethod
+    def _of_checked_edges(cls, n: int, edges, moran_sums) -> SpatialWeights:
+        """The W of n units with edges already checked and their S0, S1 and S2:
+        what :meth:`from_edges` and a pickled copy build, the copy checking and
+        summing nothing again."""
+        weights = cls.__new__(cls)
+        weights._hold(n, edges, moran_sums)
+        return weights
+
+    def _hold(self, n: int, edges, moran_sums) -> None:
+        self._n, self._edges, self._moran_sums, self._eigenvalues = n, edges, moran_sums, None
 
     @classmethod
     def of(cls, w) -> SpatialWeights:
@@ -364,23 +461,46 @@ class SpatialWeights:
         return w if isinstance(w, SpatialWeights) else cls(w)
 
     def __len__(self) -> int:
-        return self.matrix.shape[0]
+        return self._n
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return self._n, self._n
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """W as a read-only (n, n) array, scattered from the edges on first use."""
+        i, j, w_ij = self._edges
+        w = np.zeros(self.shape)
+        w[i, j] = w_ij
+        w.flags.writeable = False
+        return w
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
+    def lag(self, x) -> np.ndarray:
+        """W x, in O(nnz), the one product with W: sum_j w_ij x_j over the edges,
+        by a bincount for an (n,) x and, for an (n, k) x, by sums over each row's
+        run of edges (``np.add.reduceat``), as every row has one. Raises
+        ``ValueError`` naming an x of any other shape."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or len(x) != self._n:
+            raise ValueError(f"x has shape {x.shape} but W has {self.shape}")
+        i, j, w_ij = self._edges
+        if x.ndim == 1:
+            return np.bincount(i, w_ij * x[j], minlength=self._n)
+        starts = np.searchsorted(i, np.arange(self._n))
+        return np.add.reduceat(w_ij[:, None] * x[j], starts, axis=0)
+
     @cached_property
     def _route(self) -> str | _Bipartite:
-        return _route_of(self.matrix, self._edges)
+        return _route_of(self._n, self._edges)
 
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._eigenvalues is None:
-            self.__setstate__({"_eigenvalues": _spectrum(self.matrix, self._route)})
+            self.__setstate__({"_eigenvalues": _spectrum(self, self._route)})
         return self._eigenvalues
 
     @cached_property
@@ -426,7 +546,7 @@ class SpatialWeights:
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # the check below names it
                 if isinstance(route, _Bipartite):
-                    x = route.solve(rho, self.matrix, np.asarray(rhs, dtype=float))
+                    x = route.solve(rho, self, np.asarray(rhs, dtype=float))
                 else:
                     x = np.linalg.solve(_system_matrix(rho, self.matrix), rhs)
         except np.linalg.LinAlgError as exc:
@@ -442,25 +562,25 @@ class SpatialWeights:
         return float(g.sum().real), float((g * g).sum().real)
 
     def __reduce__(self):
-        return type(self), (self.matrix,), {"_eigenvalues": self.eigenvalues, "_route": self._route}
+        return (type(self)._of_checked_edges, (self._n, self._edges, self._moran_sums),
+                {"_eigenvalues": self.eigenvalues, "_route": self._route})
 
     def __setstate__(self, state):  # also marks freshly computed eigenvalues read-only
         self.__dict__.update(state)
         self._eigenvalues.flags.writeable = False
 
 
-def _sums_of(w: np.ndarray, edges) -> tuple[float, float, float]:
-    """S0, S1 and S2 of Moran's I moments, which depend on W alone, from W and
-    its :func:`_edges`: S1 = 0.5 sum (w_ij + w_ji)^2 = sum over the edges of
-    w_ij (w_ij + w_ji), formed ``_EDGE_BLOCK`` edges at a time, and S2 =
+def _sums_of(edges) -> tuple[float, float, float]:
+    """S0, S1 and S2 of Moran's I moments, which depend on W alone, from its
+    :func:`_edges`: S1 = 0.5 sum (w_ij + w_ji)^2 = sum over the edges of w_ij (w_ij + w_ji),
+    formed in place of the w_ji of :func:`_transposed`, and S2 =
     sum_i (w_i. + w_.i)^2, its margins adding each w_ij at i, then at j."""
     i, j, w_ij = edges
     margins = np.bincount(i, w_ij, minlength=int(j.max(initial=-1)) + 1)
     np.add.at(margins, j, w_ij)
-    terms = np.empty_like(w_ij)
-    for start in range(0, w_ij.size, _EDGE_BLOCK):
-        e = slice(start, start + _EDGE_BLOCK)
-        terms[e] = w_ij[e] * (w_ij[e] + w[j[e], i[e]])
+    terms = _transposed(edges)
+    terms += w_ij
+    terms *= w_ij
     return float(w_ij.sum()), float(terms.sum()), float((margins**2).sum())
 
 
@@ -472,8 +592,8 @@ def morans_i(values, w) -> MoranReport:
     two-sided normal approximation. ``w`` is a :class:`SpatialWeights`, whose
     edges and sums over W are reused, or an array, checked and wrapped in a
     fresh one (:meth:`SpatialWeights.of`), which admits no W with one unit or
-    an all-zero row. z' W z and the sums are taken over W's edges
-    (:func:`_edges`).
+    an all-zero row. z' W z takes W z from :meth:`SpatialWeights.lag`, and the
+    sums are taken over W's edges (:func:`_edges`).
     """
     x = require_finite(np.asarray(values, dtype=float).ravel(), "values")
     w = SpatialWeights.of(w)
@@ -484,8 +604,8 @@ def morans_i(values, w) -> MoranReport:
     denom = float(z @ z)
     if denom == 0.0:
         raise ValueError("values are constant; Moran's I is undefined")
-    (i, j, w_ij), (s0, s1, s2) = w._edges, w._moran_sums
-    stat = n / s0 * float((w_ij * z[i] * z[j]).sum()) / denom
+    s0, s1, s2 = w._moran_sums
+    stat = n / s0 * float(z @ w.lag(z)) / denom
 
     expectation = -1.0 / (n - 1)
     var = (n**2 * s1 - n * s2 + 3 * s0**2) / (s0**2 * (n**2 - 1)) - expectation**2

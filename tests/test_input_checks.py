@@ -63,6 +63,10 @@ FIRST_TEN = "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9] ..."
     pytest.param(lambda: SpatialWeights(poke(W.matrix, (0, 1), np.inf)),
                  "weight matrix has 1 non-finite entries, at (row, col) [[0, 1]]",
                  id="spatial-weights"),
+    pytest.param(lambda: SpatialWeights.from_edges(3, [0, 1, 1, 2], [1, 0, 2, 1],
+                                                   [1.0, 0.5, np.nan, 1.0]),
+                 "weight matrix has 1 non-finite entries, at (row, col) [[1, 2]]",
+                 id="spatial-weights-from-edges"),
     pytest.param(lambda: ilr([0.2, np.nan, 0.8]),
                  "composition has 1 non-finite entries, at indices [1]", id="ilr"),
     pytest.param(lambda: ilr_inv([[0.0, 1.0], [np.inf, 0.0]]),
@@ -134,6 +138,9 @@ INTEGER_SITES = [
     ("seed", 0, lambda v: _config(seed=v)),
     ("grid_size", 2, lambda v: _config(grid_size=v)),
     ("workers", 1, lambda v: run_monte_carlo(_config(), workers=v)),
+    ("n", 1, lambda v: gen_functional(v, 2.0, GRID, np.random.default_rng(0))),
+    ("n", 1, lambda v: gen_composition(v, [0.2, 0.3, 0.5], np.eye(2), np.random.default_rng(0))),
+    ("n", 1, lambda v: SpatialWeights.from_edges(v, [0, 1], [1, 0], [1.0, 1.0])),
 ]
 
 

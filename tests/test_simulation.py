@@ -186,6 +186,13 @@ def test_gen_response_names_a_block_without_one_entry_per_unit(block):
                      np.random.default_rng(0))
 
 
+def test_gen_response_names_a_beta_comp_with_another_part_count():
+    comps = gen_composition(9, COMP_MEAN, COMP_ILR_COV, np.random.default_rng(6))
+    with pytest.raises(ValueError, match=re.escape("beta_comp has 2 parts but comps have 3")):
+        gen_response(rook_lattice(3, 3), 0.3, None, None, comps, [0.4, 0.6], None, None, 0.5,
+                     np.random.default_rng(0))
+
+
 # -- Monte Carlo driver --------------------------------------------------------------------
 
 def test_monte_carlo_decomposes_w_once_per_setting(monkeypatch):
@@ -213,7 +220,7 @@ def test_monte_carlo_decomposes_w_once_per_setting(monkeypatch):
                               seed=11))
     assert len(spectra) == 1
     assert len(shared) == 3 and all(w is built[0] for w in shared)
-    assert shared[0].matrix is spectra[0]
+    assert shared[0] is spectra[0]
 
 
 def test_monte_carlo_builds_the_grid_table_once_per_setting(monkeypatch):

@@ -666,7 +666,7 @@ def test_a_copy_pickled_before_the_first_decomposition_carries_the_spectrum(monk
 
 def spectrum(w):
     """W's eigenvalues by the route that a SpatialWeights of W finds."""
-    return spatial._spectrum(w, spatial._route_of(w, spatial._edges(w)))
+    return spatial._spectrum(w, spatial._route_of(len(w), spatial._edges(w)))
 
 
 def test_spectrum_forms_no_system_matrix_and_runs_no_slogdet(monkeypatch):
@@ -863,7 +863,148 @@ def test_edges_and_moran_sums_are_bitwise_the_dense_formulas(w):
     expected_edges, expected_sums = dense_edges_and_sums(w)
     for got, expected in zip(edges, expected_edges, strict=True):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    assert spatial._sums_of(w, edges) == expected_sums
+    assert spatial._sums_of(edges) == expected_sums
+
+
+# -- W kept as its edges -------------------------------------------------------------------
+
+LAGGED = [
+    rook_lattice(6, 7),
+    SpatialWeights(rook_lattice(6, 7).matrix),
+    knn_inverse_distance(np.random.default_rng(5).uniform(0.0, 10.0, (40, 2)), k=4, cutoff=100.0),
+    SpatialWeights(asymmetric_on_lattice(5, 6)),
+    SpatialWeights(scipy.linalg.block_diag(rook_lattice(3, 3).matrix, symmetric_on_lattice(2, 4))),
+]
+
+
+@pytest.mark.parametrize("w", LAGGED, ids=["rook", "rook-array", "knn", "asymmetric",
+                                           "disconnected"])
+def test_the_lag_is_the_dense_product(w):
+    """W x over the edges is the matrix product to 1e-15 of max |x|, for a 1-d
+    and an (n, 2) x; a W built from edges forms no matrix for it."""
+    x = np.random.default_rng(15).normal(size=(len(w), 2))
+    formed = "matrix" in vars(w)
+    lagged = [(w.lag(c), c) for c in (x[:, 0], x)]
+    assert ("matrix" in vars(w)) == formed
+    for got, c in lagged:
+        assert got.shape == c.shape
+        np.testing.assert_allclose(got, np.asarray(w) @ c, rtol=0, atol=1e-15 * np.abs(c).max())
+    for bad in (x[1:], x[:, :, None], np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"x has shape {np.shape(bad)} but W has {w.shape}")):
+            w.lag(bad)
+
+
+def test_a_rook_fit_forms_no_matrix():
+    """A 50 x 50 rook W is built, solved and fitted with Wald errors without its
+    (n, n) matrix: the peak stays within four times the 12.5 MB that its route's
+    Q takes, a bound that the 50 MB matrix alone would reach."""
+    rng = np.random.default_rng(50)
+    x = rng.normal(size=(2500, 2))
+    tracemalloc.start()
+    try:
+        w = rook_lattice(50, 50)
+        y = solve_system(0.4, w, x @ [1.0, -0.7] + 0.5 * rng.normal(size=2500))
+        res = fit(y, scalars=x, weights=w, std_errors=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.std_errors is not None
+    assert "matrix" not in vars(w)
+    assert peak <= 4 * 8 * 1250**2
+
+
+def test_a_pickled_rook_w_is_its_edges_and_solves_alike(monkeypatch):
+    """A pickled rook W carries no (n, n) array, and its copy checks, sums and
+    looks up nothing again, and solves bit for bit as the original."""
+    w = rook_lattice(30, 30)
+    data = pickle.dumps(w)
+    assert len(data) < 8 * 900**2
+    redone = []
+    for name in ("_check_edges", "_sums_of", "_transposed", "_route_of"):
+        monkeypatch.setattr(spatial, name, lambda *args, name=name: redone.append(name))
+    copy = pickle.loads(data)
+    monkeypatch.undo()
+    assert redone == []
+    assert copy._moran_sums == w._moran_sums
+    assert "matrix" not in vars(w) and "matrix" not in vars(copy)
+    rhs = np.random.default_rng(30).normal(size=(900, 2))
+    for c in (rhs[:, 0], rhs):
+        assert np.array_equal(solve_system(0.4, copy, c), solve_system(0.4, w, c))
+        assert np.array_equal(copy.lag(c), w.lag(c))
+
+
+@pytest.mark.parametrize("w", [
+    rook_lattice(4, 5).matrix,
+    queen_lattice(4, 5),
+    knn_inverse_distance(np.random.default_rng(5).uniform(0.0, 10.0, (30, 2)), k=4,
+                         cutoff=100.0).matrix,
+    asymmetric_on_lattice(4, 5),
+    scipy.linalg.block_diag(rook_lattice(3, 3).matrix, symmetric_on_lattice(2, 4)),
+], ids=["rook", "queen", "knn", "asymmetric", "disconnected"])
+def test_a_w_built_from_its_edges_answers_as_the_array_does(w):
+    """from_edges on an array's edges gives its log-dets, solves, eigenvalues and
+    Moran's I bit for bit, and a matrix equal to it, formed on first use: each
+    w_ji looked up among the edges is the one gathered from the array."""
+    edges = spatial._edges(w)
+    assert spatial._transposed(edges).tobytes() == w[edges[1], edges[0]].tobytes()
+    from_array = SpatialWeights(w)
+    from_edges = SpatialWeights.from_edges(len(w), *edges)
+    rhs = np.random.default_rng(6).normal(size=(len(w), 2))
+    for rho in (float(spatial.RHO_GRID[150]), 0.55, -0.3):
+        assert log_det_system(rho, from_edges) == log_det_system(rho, from_array)
+        assert np.array_equal(solve_system(rho, from_edges, rhs),
+                              solve_system(rho, from_array, rhs))
+    assert np.array_equal(from_edges.eigenvalues, from_array.eigenvalues)
+    assert morans_i(rhs[:, 0], from_edges) == morans_i(rhs[:, 0], from_array)
+    assert np.array_equal(from_edges.matrix, w) and not from_edges.matrix.flags.writeable
+
+
+# (n, i, j, w_ij) of a 3-unit path 0 - 1 - 2, each with one fault
+PATH = (3, [0, 1, 1, 2], [1, 0, 2, 1], [1.0, 0.5, 0.5, 1.0])
+
+
+def dense(n, i, j, w_ij):
+    w = np.zeros((n, n))
+    w[i, j] = w_ij
+    return w
+
+
+@pytest.mark.parametrize("edges", [
+    (3, [0, 1, 1, 2], [1, 0, 2, 1], [np.inf, 0.5, 0.5, 1.0]),
+    (3, [0, 0, 1, 1, 2], [0, 1, 0, 2, 1], [0.5, 0.5, 0.5, 0.5, 1.0]),
+    (3, [0, 1, 1, 2], [1, 0, 2, 1], [1.0, -0.5, 1.5, 1.0]),
+    (3, [0, 1, 1, 2], [1, 0, 2, 1], [1.0, 0.5, 0.6, 1.0]),
+    (4, *PATH[1:]),
+], ids=["non-finite", "self-loop", "negative", "row-sum", "isolated"])
+def test_from_edges_refuses_what_validate_weights_refuses_alike(edges):
+    with pytest.raises(ValueError) as expected:
+        SpatialWeights(dense(*edges))
+    with pytest.raises(ValueError) as got:
+        SpatialWeights.from_edges(*edges)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ((3, [0, 1, 1, 2], [1, 0, 3, 1], PATH[3]),
+     "edges must join units 0 to 2, got (row, col) [[1, 3]]"),
+    ((3, [0, 1, 1, 2], [1, 2, 0, 1], [1.0, 0.5, 0.5, 1.0]),
+     "edges must be unique and sorted row-major: edge 2, (row, col) [1, 0], is not after [1, 2]"),
+    ((3, [0, 1, 1, 1, 2], [1, 0, 2, 2, 1], [1.0, 0.5, 0.25, 0.25, 1.0]),
+     "edges must be unique and sorted row-major: edge 3, (row, col) [1, 2], is not after [1, 2]"),
+    ((3, [0, 1, 1, 1, 2], [1, 0, 2, 2, 1], [1.0, 0.5, 0.5, 0.0, 1.0]),
+     "edge weights must be positive; a zero weight is no edge"),
+    ((3, [0.0, 1.0, 1.0, 2.0], *PATH[2:]),
+     "edges must be three 1-d arrays of one length, i and j integer: got float64(4,), "
+     "int64(4,) and (4,)"),
+    ((3, [0, 1, 1], *PATH[2:]),
+     "edges must be three 1-d arrays of one length, i and j integer: got int64(3,), "
+     "int64(4,) and (4,)"),
+], ids=["outside", "unsorted", "repeated", "zero-weight", "float-index", "lengths"])
+def test_from_edges_refuses_an_edge_list_that_no_w_has(edges, message):
+    with pytest.raises(ValueError) as err:
+        SpatialWeights.from_edges(*edges)
+    assert str(err.value) == message
 
 
 def test_a_pickled_copy_carries_the_route_and_decomposes_nothing(monkeypatch):
