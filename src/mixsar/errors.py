@@ -5,7 +5,9 @@ failure (a singular system, a non-finite result) raises :class:`NumericalError`,
 and an indefinite Wald Hessian only warns. :func:`require_finite` refuses NaN
 and inf with ``"{name} has {k} non-finite entries, at indices [..]"``, or ``at
 (row, col) [[..]]`` for a 2-d array, listing the first 10; :func:`require_int`
-refuses a count with ``"{name} must be an integer >= {minimum}, got {value!r}"``.
+refuses a count with ``"{name} must be an integer >= {minimum}, got {value!r}"``;
+:func:`require_fraction` refuses a share outside (0, 1] with ``"{name} must be
+in (0, 1]"``.
 """
 
 import numpy as np
@@ -36,4 +38,11 @@ def require_int(value, name: str, minimum: int):
     of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def require_fraction(value: float, name: str) -> float:
+    """``value`` as it is, if it lies in (0, 1]; NaN does not."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1]")
     return value

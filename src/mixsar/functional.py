@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import require_finite, require_int
+from .errors import require_finite, require_fraction, require_int
 
 
 def _points_and_values(points, values, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +220,7 @@ def pve_truncate(eigenvalues, z: float) -> int:
     """Smallest number of leading eigenvalues whose cumulative share of the
     total reaches ``z``."""
     ev = np.asarray(eigenvalues, dtype=float)
-    if not 0.0 < z <= 1.0:
-        raise ValueError("z must be in (0, 1]")
+    require_fraction(z, "z")
     if ev.size == 0 or np.any(ev < 0):
         raise ValueError("eigenvalues must be a non-empty non-negative vector")
     cums = np.cumsum(ev)

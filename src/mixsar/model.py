@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .errors import NumericalError, require_finite
+from .errors import NumericalError, require_finite, require_fraction
 from .functional import (
     CurveSample,
     RawCurveObservations,
@@ -351,8 +351,7 @@ def fit(y, curves=None, compositions=None, scalars=None, *, weights, pve: float 
         Names of the scalar columns in ``column_labels``; None gives
         ``x_1, x_2, ...``.
     """
-    if not 0.0 < pve <= 1.0:
-        raise ValueError("pve must be in (0, 1]")
+    require_fraction(pve, "pve")
 
     basis = None
     n_components = 0

@@ -35,10 +35,10 @@ from functools import partial
 import numpy as np
 
 from . import geometry
-from .errors import require_finite, require_int
+from .errors import require_finite, require_fraction, require_int
 from .functional import CurveSample, trapezoid_weights
 from .model import fit
-from .spatial import SpatialWeights, rook_lattice, solve_system
+from .spatial import SpatialWeights, lattice_units, rook_lattice, solve_system
 
 N_SERIES_TERMS = 50
 TRUE_SCALAR_COEF = 1.0
@@ -65,17 +65,14 @@ class SimConfig:
     grid_size: int = 100
 
     def __post_init__(self):
-        for name, minimum in (("n_rows", 1), ("n_cols", 1), ("n_reps", 1), ("seed", 0),
-                              ("grid_size", 2)):
+        lattice_units(self.n_rows, self.n_cols)
+        for name, minimum in (("n_reps", 1), ("seed", 0), ("grid_size", 2)):
             require_int(getattr(self, name), name, minimum)
-        if self.n_rows * self.n_cols < 2:
-            raise ValueError("lattice needs at least 2 cells")
         if not -1.0 < self.rho_true < 1.0:
             raise ValueError("rho_true must be in (-1, 1)")
         _check_alpha_decay(self.alpha_decay)
         _check_noise_scale(self.noise_scale)
-        if not 0.0 < self.pve <= 1.0:
-            raise ValueError("pve must be in (0, 1]")
+        require_fraction(self.pve, "pve")
 
     @property
     def n_units(self) -> int:

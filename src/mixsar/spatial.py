@@ -10,13 +10,13 @@ traces of (I - rho W)^-1 W and its square, and every log-det and solve of
 I - rho W. The 201 log-dets at ``RHO_GRID``, the points that every profile
 search scans, depend on W alone: they are taken once per object, by one
 broadcast log1p over the eigenvalues, and each is then a lookup (Pace & Barry
-1997). ``rook_lattice`` builds its W from the edges, in O(n), and
-``knn_inverse_distance`` from a dense (n, n) array; both return a
-row-normalized :class:`SpatialWeights`, so that W is checked when it is built
-and decomposed once for every fit, solve and Moran's I that shares it.
+1997). ``rook_lattice`` and ``knn_inverse_distance`` build their W from its
+edges, and ``SpatialWeights(w)`` checks an array ``w`` as the edges it holds,
+its non-zero entries: one rule (:func:`_check_edges`) says what a W is, with
+one message for each fault. A :class:`SpatialWeights` is checked when it is
+built and decomposed once for every fit, solve and Moran's I that shares it.
 ``log_det_system``, ``solve_system``, ``morans_i`` and a design take an array W
-too, by checking it and wrapping it in a fresh one (:meth:`SpatialWeights.of`),
-so one rule says what a W is.
+too, by checking it and wrapping it in a fresh one (:meth:`SpatialWeights.of`).
 
 W's eigenvalues come from a symmetric matrix whenever W allows it. W = D^-1 A
 with symmetric A, as rook and other symmetric contiguity weights are, is
@@ -77,46 +77,16 @@ class MoranReport:
     p_value: float
 
 
-def _check_matrix(w) -> np.ndarray:
-    """Square, finite, zero diagonal, non-negative: what any weight matrix must be."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"weight matrix must be square, got shape {w.shape}")
-    require_finite(w, "weight matrix")
-    if np.any(np.diag(w) != 0):
-        raise ValueError("weight matrix diagonal must be zero")
-    if np.any(w < 0):
-        raise ValueError("weight matrix entries must be non-negative")
-    return w
-
-
-def _check_row_sums(sums: np.ndarray) -> None:
-    """Every row sums to 1, to 1e-10; an all-zero row, an isolated unit, is an error of its own."""
-    bad = np.flatnonzero((sums != 0) & (np.abs(sums - 1.0) > 1e-10))
-    if bad.size:
-        raise ValueError(f"rows {bad.tolist()} are neither zero nor normalized (sums {sums[bad]})")
-    zero_rows = np.flatnonzero(sums == 0)
-    if zero_rows.size:
-        raise ValueError(f"isolated units (all-zero rows): {zero_rows.tolist()}")
-
-
-def validate_weights(w) -> np.ndarray:
-    """Check square shape, finiteness, zero diagonal, non-negativity and unit row
-    sums; an all-zero row, an isolated unit, is an error of its own."""
-    w = _check_matrix(w)
-    _check_row_sums(w.sum(axis=1))
-    return w
-
-
 def _check_edges(n: int, i, j, w_ij) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Copies of the edges of a W of n units, as int32 i and j and float w_ij,
-    once they pass the checks that ``validate_weights`` makes of an array, with
-    its messages, a non-finite w_ij named at its (row, col): finite, no
-    self-loop, no negative weight, and unit row sums with no isolated unit. An
-    edge must also join two of the n units, have a positive weight, and come
-    after the one before it in row-major order, so that no (i, j) repeats."""
+    """The edges of a W of n units as int32 i and j and float w_ij, once they
+    pass the one check of a W, which an array's :func:`_edges` take too: finite,
+    a non-finite w_ij named at its (row, col), no self-loop, no negative weight,
+    and rows that sum to 1, to 1e-10, an all-zero row, an isolated unit, being
+    an error of its own. An edge must also join two of the n units, have a
+    positive weight, and come after the one before it in row-major order, so
+    that no (i, j) repeats. What is already int32 or float is not copied."""
     require_int(n, "n", 1)
-    i, j, w_ij = np.asarray(i), np.asarray(j), np.array(w_ij, dtype=float)
+    i, j, w_ij = np.asarray(i), np.asarray(j), np.asarray(w_ij, dtype=float)
     if not (i.shape == j.shape == w_ij.shape == (w_ij.size,)
             and {i.dtype.kind, j.dtype.kind} <= {"i", "u"}):
         raise ValueError("edges must be three 1-d arrays of one length, i and j integer: "
@@ -137,18 +107,23 @@ def _check_edges(n: int, i, j, w_ij) -> tuple[np.ndarray, np.ndarray, np.ndarray
         k = int(np.argmin(after)) + 1
         raise ValueError(f"edges must be unique and sorted row-major: edge {k}, (row, col) "
                          f"{[int(i[k]), int(j[k])]}, is not after {[int(i[k - 1]), int(j[k - 1])]}")
-    _check_row_sums(np.bincount(i, w_ij, minlength=n))
-    return i.astype(np.int32), j.astype(np.int32), w_ij
-
-
-def row_normalize(w) -> np.ndarray:
-    """Divide each row of a non-negative zero-diagonal matrix by its sum."""
-    w = _check_matrix(w)
-    sums = w.sum(axis=1)
+    sums = np.bincount(i, w_ij, minlength=n)
+    bad = np.flatnonzero((sums != 0) & (np.abs(sums - 1.0) > 1e-10))
+    if bad.size:
+        raise ValueError(f"rows {bad.tolist()} are neither zero nor normalized (sums {sums[bad]})")
     zero_rows = np.flatnonzero(sums == 0)
     if zero_rows.size:
-        raise ValueError(f"cannot normalize all-zero rows: units {zero_rows.tolist()}")
-    return w / sums[:, None]
+        raise ValueError(f"isolated units (all-zero rows): {zero_rows.tolist()}")
+    return i.astype(np.int32, copy=False), j.astype(np.int32, copy=False), w_ij
+
+
+def lattice_units(n_rows: int, n_cols: int) -> int:
+    """The unit count n_rows n_cols of a lattice, once each side is an integer
+    >= 1 and there are at least 2 cells: the one check of a lattice's size."""
+    n = require_int(n_rows, "n_rows", 1) * require_int(n_cols, "n_cols", 1)
+    if n < 2:
+        raise ValueError("lattice needs at least 2 cells")
+    return n
 
 
 def rook_lattice(n_rows: int, n_cols: int) -> SpatialWeights:
@@ -159,9 +134,7 @@ def rook_lattice(n_rows: int, n_cols: int) -> SpatialWeights:
     Units are indexed row-major; two cells are neighbours when they share a
     border (one step horizontally or vertically).
     """
-    if require_int(n_rows, "n_rows", 1) * require_int(n_cols, "n_cols", 1) < 2:
-        raise ValueError("lattice needs at least 2 cells")
-    n = n_rows * n_cols
+    n = lattice_units(n_rows, n_cols)
     cell = np.arange(n).reshape(n_rows, n_cols)
     # each cell's neighbours above, left, right and below, in ascending order; -1 off the grid
     near = np.full((n_rows, n_cols, 4), -1)
@@ -198,7 +171,8 @@ def pairwise_distances(locations, metric: str = "euclidean") -> np.ndarray:
 def knn_inverse_distance(locations, k: int, cutoff: float,
                          metric: str = "euclidean") -> SpatialWeights:
     """Inverse-distance weights over the k nearest neighbours within a cutoff,
-    as a :class:`SpatialWeights`; its ``matrix`` is the (n, n) array.
+    as a :class:`SpatialWeights` built from its edges, as ``rook_lattice``'s
+    is; its ``matrix``, the (n, n) array, is formed on first use.
 
     For each unit the k nearest other units with distance <= cutoff are kept
     (ties at the k-th distance resolved toward the lower index), weighted by
@@ -225,7 +199,8 @@ def knn_inverse_distance(locations, k: int, cutoff: float,
     if isolated:
         raise ValueError(f"units with no neighbour within cutoff {cutoff}: {isolated}")
     w = np.where(within, 1.0 / dist, 0.0)
-    return SpatialWeights(row_normalize(w))
+    i, j = np.nonzero(within)
+    return SpatialWeights.from_edges(n, i, j, w[i, j] / w.sum(axis=1)[i])
 
 
 def _check_rho(rho: float) -> float:
@@ -254,13 +229,14 @@ def solve_system(rho: float, w, rhs) -> np.ndarray:
 
 
 def _edges(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W's edges ``(i, j, w_ij)``: the (i, j) with w_ij > 0 in row-major order,
-    as int32, and w_ij, from their flat positions k, with no division: i repeats
-    each row's index as often as k falls in that row, and j = k - n i."""
+    """The edges ``(i, j, w_ij)`` that an (n, n) array W holds, unchecked: its
+    non-zero entries, NaN and negative ones too, in row-major order, i and j as
+    int32, from their flat positions k, with no division: i repeats each row's
+    index as often as k falls in that row, and j = k - n i."""
     n = w.shape[0]
-    k = np.flatnonzero(w > 0)
+    k = np.flatnonzero(w != 0)
     w_ij = w.ravel()[k]
-    per_row = np.diff(np.searchsorted(k, np.arange(0, n * n + 1, n)))
+    per_row = np.diff(np.searchsorted(k, np.arange(n + 1) * n))
     i = np.repeat(np.arange(n, dtype=np.int32), per_row)
     k -= np.multiply(i, n, dtype=np.int64)
     return i, k.astype(np.int32), w_ij
@@ -393,11 +369,13 @@ class SpatialWeights:
     every spectral question.
 
     What it keeps is W's edges, int32 i and j and float w_ij, sorted row-major,
-    16 bytes per edge. ``SpatialWeights(w)`` checks an array ``w`` by
-    ``validate_weights`` and finds its edges; :meth:`from_edges` checks edges
-    as given. ``matrix`` is W as a read-only (n, n) array. An object built from
-    an array keeps that array, made read-only, which shares memory with ``w``
-    when ``w`` already is a float array, so ``w`` must not change afterwards.
+    16 bytes per edge. ``SpatialWeights(w)`` checks that an array ``w`` is
+    square and then checks the edges it holds (:func:`_edges`), and
+    :meth:`from_edges` checks copies of edges as given, both by the one rule
+    :func:`_check_edges`. ``matrix`` is W as a read-only (n, n) array. An
+    object built from an array keeps that array, made read-only, which shares
+    memory with ``w`` when ``w`` already is a float array, so ``w`` must not
+    change afterwards.
     An object built from edges forms its matrix only on first use: by the
     ``eigvals`` and ``eigvalsh`` routes, the LU log-det and solve, and numpy's
     array protocol, through which ``np.asarray(weights)`` is the read-only
@@ -428,17 +406,20 @@ class SpatialWeights:
     def __init__(self, w):
         if isinstance(w, SpatialWeights):
             raise ValueError("w is already a SpatialWeights; pass it as it is")
-        self.matrix = validate_weights(w).view()
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"weight matrix must be square, got shape {w.shape}")
+        edges = _check_edges(len(w), *_edges(w))
+        self.matrix = w.view()
         self.matrix.flags.writeable = False
-        edges = _edges(self.matrix)
-        self._hold(len(self.matrix), edges, _sums_of(edges))
+        self._hold(len(w), edges, _sums_of(edges))
 
     @classmethod
     def from_edges(cls, n: int, i, j, w_ij) -> SpatialWeights:
         """The W of n units whose edges are (i[k], j[k]) with weights w_ij[k],
-        sorted row-major, checked by the rules of ``validate_weights`` and its
-        messages, and in range, unique, sorted and of positive weight."""
-        edges = _check_edges(n, i, j, w_ij)
+        sorted row-major, checked on copies by :func:`_check_edges`, the rule
+        that an array W's edges take too."""
+        edges = _check_edges(n, np.array(i), np.array(j), np.array(w_ij, dtype=float))
         return cls._of_checked_edges(n, edges, _sums_of(edges))
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Weight construction, row normalization, log-determinants, Moran's I."""
+"""Weight construction and checks, log-determinants, Moran's I."""
 
 import itertools
 import math
@@ -23,12 +23,17 @@ from mixsar.spatial import (
     morans_i,
     pairwise_distances,
     rook_lattice,
-    row_normalize,
     solve_system,
-    validate_weights,
 )
 
 RNG = np.random.default_rng(99)
+
+
+def row_normalize(w):
+    """Each row of w divided by its sum, as a dense array: the formula whose
+    weights a kNN W matches bit for bit."""
+    w = np.asarray(w, dtype=float)
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def random_weights(n, rng=RNG, density=0.6):
@@ -55,7 +60,7 @@ def test_rook_2x2_two_neighbours_each():
 def test_rook_10x15_interior_cells():
     w = rook_lattice(10, 15).matrix
     assert w.shape == (150, 150)
-    validate_weights(w)
+    SpatialWeights(w)
     interior = [r * 15 + c for r in range(1, 9) for c in range(1, 14)]
     for i in interior[:10]:
         assert (w[i] > 0).sum() == 4
@@ -144,7 +149,7 @@ def test_knn_cutoff_severs_clusters():
     w = knn_inverse_distance(pts, k=9, cutoff=10.0).matrix
     assert np.all(w[:5, 5:] == 0)
     assert np.all(w[5:, :5] == 0)
-    validate_weights(w)
+    SpatialWeights(w)
 
 
 def test_knn_sweep_gives_nine_candidates():
@@ -316,26 +321,7 @@ def test_distances_reject_non_finite_locations(metric, bad):
         knn_inverse_distance(pts, k=1, cutoff=10.0, metric=metric)
 
 
-# -- row normalization --------------------------------------------------------------
-
-def test_row_normalize_example():
-    np.testing.assert_allclose(row_normalize([[0.0, 2.0], [3.0, 0.0]]), [[0, 1], [1, 0]])
-
-
-def test_row_normalize_idempotent():
-    w = random_weights(8)
-    np.testing.assert_allclose(row_normalize(w), w, atol=1e-15)
-
-
-def test_row_normalize_row_sums():
-    w = random_weights(25)
-    np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_row_normalize_rejects_zero_row():
-    with pytest.raises(ValueError, match=r"\[1\]"):
-        row_normalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
+# -- the checks of an array W -----------------------------------------------------------
 
 @pytest.mark.parametrize("bad, message", [
     ([[0.0, np.nan], [1.0, 0.0]], r"1 non-finite entries, at \(row, col\) \[\[0, 1\]\]$"),
@@ -345,11 +331,10 @@ def test_row_normalize_rejects_zero_row():
     ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], "square"),
 ], ids=["bad0-non-finite", "bad1-non-finite", "bad2-non-negative", "bad3-diagonal", "bad4-square"])
 def test_normalize_and_validate_share_the_matrix_checks(bad, message):
-    with pytest.raises(ValueError, match=message) as normalized:
-        row_normalize(bad)
-    with pytest.raises(ValueError, match=message) as validated:
-        validate_weights(bad)
-    assert str(normalized.value) == str(validated.value)
+    """An array W is checked as the edges it holds: a NaN, a negative entry and a
+    diagonal entry are edges that the one edge check names."""
+    with pytest.raises(ValueError, match=message):
+        SpatialWeights(bad)
 
 
 # -- log determinant ------------------------------------------------------------------
@@ -814,7 +799,8 @@ def test_spectrum_sends_a_weight_off_reversibility_by_1e_9_to_eigvals(monkeypatc
 
 def test_a_dense_w_keeps_16_bytes_per_edge():
     """SpatialWeights keeps W's edges as int32 i and j and float w_ij, and
-    shares the matrix; w_ji is read from it when the route is found."""
+    shares the matrix; w_ji is looked up among the edges (_transposed) when the
+    Moran sums and the route are found, and is not kept."""
     w = row_normalize(np.ones((1000, 1000)) - np.eye(1000))
     tracemalloc.start()
     try:
@@ -827,9 +813,11 @@ def test_a_dense_w_keeps_16_bytes_per_edge():
 
 
 def test_building_a_dense_w_peaks_at_twice_what_it_keeps():
-    """Finding the edges and the Moran sums of a dense W peaks at about 24 bytes
-    per edge, 8 beside the 16 it keeps: the int64 flat positions while w_ij is
-    gathered, then the S1 terms; no w_ji."""
+    """Checking a dense W and finding its Moran sums peaks at 29.9 bytes per
+    edge (tracemalloc, 1000 x 1000 W), 13.9 beside the 16 it keeps, while the S1
+    terms are formed: the 8 of w_ji, looked up among the edges by their int32
+    keys, 4 more, and one block of queries. Finding the edges peaks at 28.1: the
+    int64 flat positions, w_ij, int32 i and the int64 n i taken off the positions."""
     w = row_normalize(np.ones((1000, 1000)) - np.eye(1000))
     tracemalloc.start()
     try:
@@ -978,6 +966,7 @@ def dense(n, i, j, w_ij):
     (4, *PATH[1:]),
 ], ids=["non-finite", "self-loop", "negative", "row-sum", "isolated"])
 def test_from_edges_refuses_what_validate_weights_refuses_alike(edges):
+    """Edges and the array that holds them are refused with one message."""
     with pytest.raises(ValueError) as expected:
         SpatialWeights(dense(*edges))
     with pytest.raises(ValueError) as got:
@@ -1005,6 +994,38 @@ def test_from_edges_refuses_an_edge_list_that_no_w_has(edges, message):
     with pytest.raises(ValueError) as err:
         SpatialWeights.from_edges(*edges)
     assert str(err.value) == message
+
+
+def test_every_constructor_checks_its_w_once_by_the_edge_check(monkeypatch):
+    """An array W, an edge list, a rook lattice and a kNN W each pass the one
+    rule for a W, _check_edges, exactly once; a kNN W is kept as its edges and
+    forms no matrix to be built, lagged or tested by Moran's I."""
+    array = np.asarray(rook_lattice(3, 4))
+    edges = spatial._edges(array)
+    pts = np.random.default_rng(7).uniform(0.0, 10.0, (30, 2))
+    check, calls = spatial._check_edges, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return check(*args)
+
+    monkeypatch.setattr(spatial, "_check_edges", counted)
+    for build in (lambda: SpatialWeights(array), lambda: SpatialWeights.from_edges(12, *edges),
+                  lambda: rook_lattice(3, 4), lambda: knn_inverse_distance(pts, 4, 100.0)):
+        calls.clear()
+        w = build()
+        assert calls == [len(w)]
+    assert "matrix" not in vars(w)
+    x = np.random.default_rng(8).normal(size=30)
+    w.lag(x)
+    assert "matrix" not in vars(w)
+    morans_i(x, w)
+    assert "matrix" not in vars(w)
+
+
+def test_an_empty_array_is_no_w():
+    with pytest.raises(ValueError, match=re.escape("n must be an integer >= 1, got 0")):
+        SpatialWeights(np.zeros((0, 0)))
 
 
 def test_a_pickled_copy_carries_the_route_and_decomposes_nothing(monkeypatch):
@@ -1209,20 +1230,23 @@ def test_an_off_grid_log_det_does_not_depend_on_what_ran_before(kind):
         np.testing.assert_allclose(after, [fresh, fresh], rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("bad", [
-    np.zeros((2, 3)),
-    np.array([[0.0, np.inf], [1.0, 0.0]]),
-    np.array([[0.5, 0.5], [1.0, 0.0]]),
-    np.array([[0.0, 1.0, 0.0], [1.5, 0.0, -0.5], [0.0, 1.0, 0.0]]),
-    np.array([[0.0, 0.5], [1.0, 0.0]]),
-    np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-])
-def test_spatial_weights_rejects_what_validate_weights_rejects(bad):
-    with pytest.raises(ValueError) as expected:
-        validate_weights(bad)
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros((2, 3)), "weight matrix must be square, got shape (2, 3)"),
+    (np.array([[0.0, np.inf], [1.0, 0.0]]),
+     "weight matrix has 1 non-finite entries, at (row, col) [[0, 1]]"),
+    (np.array([[0.5, 0.5], [1.0, 0.0]]), "weight matrix diagonal must be zero"),
+    (np.array([[0.0, 1.0, 0.0], [1.5, 0.0, -0.5], [0.0, 1.0, 0.0]]),
+     "weight matrix entries must be non-negative"),
+    (np.array([[0.0, 0.5], [1.0, 0.0]]), "rows [0] are neither zero nor normalized (sums [0.5])"),
+    (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+     "isolated units (all-zero rows): [2]"),
+], ids=["bad0", "bad1", "bad2", "bad3", "bad4", "bad5"])
+def test_spatial_weights_rejects_what_validate_weights_rejects(bad, message):
+    """Each fault of an array W has one message, the one that the array check
+    gave before an array was checked as its edges."""
     with pytest.raises(ValueError) as got:
         SpatialWeights(bad)
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == message
 
 
 def test_spatial_weights_refuses_to_wrap_itself():
